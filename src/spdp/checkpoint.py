@@ -8,11 +8,14 @@ Layout (all integers little-endian):
         name_len u32, name (UTF-8), rank u32, extents (rank x u64),
         payload (prod(extents) x f64, row-major)
 
-Round-trips are bit-exact: the payload is the raw IEEE-754 buffer.
+Round-trips are bit-exact: the payload is the raw IEEE-754 buffer. Version
+2 names each subspace stack once (``parallel.sub_a.w``), where version 1
+held one ``parallel.sub_a.<n>.w`` per subspace.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from pathlib import Path
 
@@ -21,22 +24,31 @@ import numpy as np
 from .tensor import Tensor
 
 MAGIC = b"SPDP"
-VERSION = 1
+VERSION = 2
 
 
 def save_checkpoint(path: str | Path, tensors: dict[str, Tensor]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        for name, t in tensors.items():
-            raw = name.encode("utf-8")
-            arr = np.ascontiguousarray(t.data, dtype="<f8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<I", arr.ndim))
-            for extent in arr.shape:
-                fh.write(struct.pack("<Q", extent))
-            fh.write(arr.tobytes())
+    """Write beside ``path`` and rename into place, so a save that fails
+    partway leaves any previous file at ``path`` untouched."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            for name, t in tensors.items():
+                raw = name.encode("utf-8")
+                arr = np.ascontiguousarray(t.data, dtype="<f8")
+                fh.write(struct.pack("<I", len(raw)))
+                fh.write(raw)
+                fh.write(struct.pack("<I", arr.ndim))
+                for extent in arr.shape:
+                    fh.write(struct.pack("<Q", extent))
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> dict[str, Tensor]:
@@ -70,7 +82,7 @@ def restore_params(params: dict[str, Tensor], blobs: dict[str, Tensor]) -> None:
     """Copy checkpoint payloads into live parameter tensors, shape-checked."""
     for name, p in params.items():
         if name not in blobs:
-            raise KeyError(f"checkpoint missing tensor {name!r}")
+            raise ValueError(f"checkpoint missing tensor {name!r}")
         src = blobs[name].data
         if src.shape != p.data.shape:
             raise ValueError(f"shape mismatch for {name!r}: {src.shape} vs {p.data.shape}")

@@ -28,7 +28,6 @@ class RunConfig:
     lr: float = 1e-3
     weight_decay: float = 0.01
     out_dir: str = "runs/out"
-    log_every: int = 1
 
     # data paths
     manifest: str = ""
@@ -67,8 +66,6 @@ class RunConfig:
     dec_heads: int = 4
     ffn_mult: int = 4
     max_decode_len: int = 48
-    tie_head: bool = False
-    freeze_encoder: bool = False
     detach_parallel_inputs: bool = False
 
     # fusion
@@ -120,8 +117,6 @@ class RunConfig:
             dec_heads=self.dec_heads,
             ffn_mult=self.ffn_mult,
             max_decode_len=self.max_decode_len,
-            tie_head=self.tie_head,
-            freeze_encoder=self.freeze_encoder,
         )
 
     def fusion_config(self) -> FusionConfig:

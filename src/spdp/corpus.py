@@ -28,7 +28,6 @@ class Utterance:
     transcript: list[int]
     gold_style: int
     split: str                      # "train" | "test"
-    waveform: np.ndarray | None = None
 
 
 @dataclass
@@ -128,6 +127,7 @@ def load_corpus(manifest_path: str | Path, frames_path: str | Path) -> list[Utte
     with open(frames_path, "rb") as fh:
         blob = fh.read()
     count, t0, feat_dim = struct.unpack_from("<3Q", blob, 0)
+    header, block = struct.calcsize("<3Q"), 8 * t0 * feat_dim
     utts: list[Utterance] = []
     with open(manifest_path, encoding="utf-8") as fh:
         for line in fh:
@@ -135,8 +135,14 @@ def load_corpus(manifest_path: str | Path, frames_path: str | Path) -> list[Utte
             if not line:
                 continue
             rec = json.loads(line)
+            offset = rec["frames_offset"]
+            if (type(offset) is not int or block == 0
+                    or offset not in range(header, header + count * block, block)
+                    or offset + block > len(blob)):
+                raise ValueError(f"utterance {rec['id']!r}: frames_offset {offset!r} "
+                                 "is not a frame block of the sidecar")
             frames = np.frombuffer(blob, dtype="<f8", count=t0 * feat_dim,
-                                   offset=rec["frames_offset"]).reshape(t0, feat_dim)
+                                   offset=offset).reshape(t0, feat_dim)
             utts.append(Utterance(
                 id=rec["id"],
                 frames=frames.astype(np.float64),

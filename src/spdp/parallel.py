@@ -63,8 +63,15 @@ class ParallelPathModel:
         self.norm_a = LayerNorm(d, eps=cfg.eps_norm)
         self.proj_t = Linear(rng, cfg.emb_t_dim, d)
         self.norm_t = LayerNorm(d, eps=cfg.eps_norm)
-        self.sub_a = [Linear(rng, d, d) for _ in range(cfg.n_subspaces)]
-        self.sub_t = [Linear(rng, d, d) for _ in range(cfg.n_subspaces)]
+        n = cfg.n_subspaces
+        # All N subspace projections of a side as one (d, N*d) Linear whose
+        # columns n*d:(n+1)*d are subspace n. The draw is N consecutive
+        # row-major (d, d) blocks, so laying them out side by side keeps the
+        # init values and every later RNG draw of N separate (d, d) Linears.
+        self.sub_a = Linear(rng, d, n * d)
+        self.sub_t = Linear(rng, d, n * d)
+        for lin in (self.sub_a, self.sub_t):
+            lin.w.data = lin.w.data.reshape(n, d, d).transpose(1, 0, 2).reshape(d, n * d)
         self.proj_r = Linear(rng, d, cfg.ref_dim)
         self.classifier = [TransformerLayer(rng, cfg.rep_dim, cfg.classifier_heads,
                                             cfg.classifier_ffn_mult)
@@ -99,11 +106,10 @@ class ParallelPathModel:
     # -- stage 3: decoupled subspace similarities --------------------------------
 
     def subspace_similarities(self, h_a: Tensor, h_t_al: Tensor) -> Tensor:
-        cols = []
-        for pa, pt in zip(self.sub_a, self.sub_t):
-            sim = T.cosine_sim(pa(h_a), pt(h_t_al), axis=-1)
-            cols.append(T.reshape(sim, sim.shape + (1,)))
-        return T.concat(cols, axis=-1)
+        """(B, T, d) pair -> (B, T, N): one cosine per subspace and frame."""
+        split = h_a.shape[:2] + (self.cfg.n_subspaces, self.cfg.d_shared)
+        return T.cosine_sim(T.reshape(self.sub_a(h_a), split),
+                            T.reshape(self.sub_t(h_t_al), split), axis=-1)
 
     # -- stage 4: semantic reference and concatenation ---------------------------
 
@@ -149,9 +155,8 @@ class ParallelPathModel:
         out.update(self.norm_a.params(f"{prefix}.norm_a"))
         out.update(self.proj_t.params(f"{prefix}.proj_t"))
         out.update(self.norm_t.params(f"{prefix}.norm_t"))
-        for i, (pa, pt) in enumerate(zip(self.sub_a, self.sub_t)):
-            out.update(pa.params(f"{prefix}.sub_a.{i}"))
-            out.update(pt.params(f"{prefix}.sub_t.{i}"))
+        out.update(self.sub_a.params(f"{prefix}.sub_a"))
+        out.update(self.sub_t.params(f"{prefix}.sub_t"))
         out.update(self.proj_r.params(f"{prefix}.proj_r"))
         for i, layer in enumerate(self.classifier):
             out.update(layer.params(f"{prefix}.classifier.{i}"))

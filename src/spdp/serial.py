@@ -19,7 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .layers import (Conv1d, Embedding, LayerNorm, Linear, TransformerLayer,
-                     causal_mask, sinusoidal_positions)
+                     causal_mask, key_padding_mask, sinusoidal_positions)
 from .tensor import Tensor
 from .vocab import EOS_ID, PAD_ID, STYLE_OPEN_ID
 
@@ -40,8 +40,6 @@ class SerialConfig:
     dec_heads: int = 4
     ffn_mult: int = 4
     max_decode_len: int = 48
-    tie_head: bool = False
-    freeze_encoder: bool = False
 
     @property
     def emb_a_dim(self) -> int:
@@ -82,12 +80,7 @@ class SerialModel:
         self.dec_layers = [TransformerLayer(rng, cfg.dec_dim, cfg.dec_heads, cfg.ffn_mult)
                            for _ in range(cfg.dec_layers)]
         self.dec_norm = LayerNorm(cfg.dec_dim)
-        if cfg.tie_head:
-            self.head_bias = Tensor(np.zeros(cfg.vocab_size), requires_grad=True)
-            self.head = None
-        else:
-            self.head = Linear(rng, cfg.dec_dim, cfg.vocab_size)
-            self.head_bias = None
+        self.head = Linear(rng, cfg.dec_dim, cfg.vocab_size)
 
     # -- encoder ------------------------------------------------------------------
 
@@ -105,7 +98,7 @@ class SerialModel:
         x = T.gelu(self.enc_conv1(x))
         x = T.gelu(self.enc_conv2(x))
         ds_mask = frame_mask[:, ::self.cfg.conv_downsample]
-        attn_mask = _key_mask(ds_mask)
+        attn_mask = key_padding_mask(ds_mask)
         taps: list[Tensor] = []
         for depth, layer in enumerate(self.enc_layers, start=1):
             x = layer(x, mask=attn_mask)
@@ -121,18 +114,12 @@ class SerialModel:
         x = T.gelu(self.ad_conv2(x))
         x = T.gelu(self.ad_conv3(x))
         ds_mask = np.asarray(mask, dtype=bool)[:, ::self.cfg.adaptor_downsample]
-        attn_mask = _key_mask(ds_mask)
+        attn_mask = key_padding_mask(ds_mask)
         for layer in self.ad_layers:
             x = layer(x, mask=attn_mask)
         return x, ds_mask
 
     # -- decoder ------------------------------------------------------------------
-
-    def _logits_head(self, hidden: Tensor) -> Tensor:
-        if self.cfg.tie_head:
-            return T.add(T.matmul(hidden, T.transpose(self.embed.table, (1, 0))),
-                         self.head_bias)
-        return self.head(hidden)
 
     def decode_hidden(self, audio_prefix: Tensor, audio_mask: np.ndarray,
                       text_ids: np.ndarray, text_valid: np.ndarray) -> Tensor:
@@ -149,7 +136,7 @@ class SerialModel:
         x = T.concat([audio_prefix, tok], axis=1)
         x = T.add(x, sinusoidal_positions(total, self.cfg.dec_dim))
         valid = np.concatenate([audio_mask.astype(bool), text_valid.astype(bool)], axis=1)
-        mask = causal_mask(total) + _key_mask(valid)
+        mask = causal_mask(total) + key_padding_mask(valid)
         for layer in self.dec_layers:
             x = layer(x, mask=mask)
         x = self.dec_norm(x)
@@ -182,7 +169,7 @@ class SerialModel:
             labels[i, start:start + len(tgt)] = tgt
             loss_mask[i, start:start + len(tgt)] = True
         hidden = self.decode_hidden(audio_prefix, audio_mask, text_ids, text_valid)
-        loss = T.token_cross_entropy(self._logits_head(hidden), labels, loss_mask)
+        loss = T.token_cross_entropy(self.head(hidden), labels, loss_mask)
         emb_t, emb_t_mask = _gather_transcript(hidden, prompts, transcript_lens)
         return loss, emb_t, emb_t_mask
 
@@ -203,7 +190,7 @@ class SerialModel:
                 text_ids = np.asarray([row], dtype=np.int64)
                 text_valid = np.ones((1, len(row)), dtype=bool)
                 hidden = self.decode_hidden(audio_prefix, audio_mask, text_ids, text_valid)
-                logits = self._logits_head(T.take(hidden, (slice(None), slice(len(row) - 1, len(row)))))
+                logits = self.head(T.take(hidden, (slice(None), slice(len(row) - 1, len(row)))))
                 dist = T.softmax(logits, axis=-1).data[0, 0]
                 if generated and generated[-1] == STYLE_OPEN_ID and p_nt is None:
                     p_nt = dist.copy()
@@ -249,24 +236,8 @@ class SerialModel:
         for i, layer in enumerate(self.dec_layers):
             out.update(layer.params(f"{prefix}.dec.{i}"))
         out.update(self.dec_norm.params(f"{prefix}.dec_norm"))
-        if self.cfg.tie_head:
-            out[f"{prefix}.head_bias"] = self.head_bias
-        else:
-            out.update(self.head.params(f"{prefix}.head"))
+        out.update(self.head.params(f"{prefix}.head"))
         return out
-
-    def trainable_params(self, prefix: str = "serial") -> dict[str, Tensor]:
-        out = self.params(prefix)
-        if self.cfg.freeze_encoder:
-            for name in self.encoder_params(prefix):
-                del out[name]
-        return out
-
-
-def _key_mask(valid: np.ndarray) -> np.ndarray:
-    mask = np.zeros(valid.shape)
-    mask[~valid.astype(bool)] = -np.inf
-    return mask[:, None, None, :]
 
 
 def _gather_transcript(hidden: Tensor, prompts: list[list[int]],

@@ -341,12 +341,12 @@ def gelu(a) -> Tensor:
     """tanh-approximation GELU: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
     a = as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
+    inner = _GELU_C * (x + 0.044715 * (x * x * x))
     t = np.tanh(inner)
     out = Tensor(0.5 * x * (1.0 + t))
 
     def bw(g):
-        dinner = _GELU_C * (1.0 + 3.0 * 0.044715 * x ** 2)
+        dinner = _GELU_C * (1.0 + 3.0 * 0.044715 * (x * x))
         local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
         if _BACKWARD_FAULT[0]:
             local = 0.5 * (1.0 + t)
@@ -445,16 +445,7 @@ def take(a, idx) -> Tensor:
 
 def embedding(table, ids: np.ndarray) -> Tensor:
     """Look up rows of ``table`` for an integer id array."""
-    table = as_tensor(table)
-    ids = np.asarray(ids)
-    out = Tensor(table.data[ids])
-
-    def bw(g):
-        buf = np.zeros_like(table.data)
-        np.add.at(buf, ids, g)
-        table._accum_grad(buf)
-
-    return _attach(out, (table,), bw)
+    return take(table, np.asarray(ids))
 
 
 # -- normalized exponentials ---------------------------------------------------
@@ -560,9 +551,8 @@ def token_cross_entropy(logits, targets: np.ndarray, loss_mask: np.ndarray) -> T
     if active.min() < 0 or active.max() >= vocab:
         raise ValueError("target index out of range")
     lp = log_softmax(logits, axis=-1)
-    grids = np.meshgrid(*[np.arange(n) for n in targets.shape], indexing="ij")
-    picked = take(lp, tuple(grids) + (targets,))
-    return div(neg(tsum(mul(picked, loss_mask.astype(np.float64)))), float(count))
+    picked = take(lp, np.nonzero(loss_mask) + (active,))
+    return div(neg(tsum(picked)), float(count))
 
 
 def class_nll(log_probs, targets: np.ndarray) -> Tensor:

@@ -49,9 +49,7 @@ class SpdpModel:
         return out
 
     def trainable_params(self) -> dict[str, Tensor]:
-        out = self.serial.trainable_params()
-        out.update(self.parallel.params())
-        return out
+        return self.params()
 
     # -- one differentiable step over a prepared batch ----------------------------
 
@@ -130,8 +128,7 @@ def train(model: SpdpModel, train_utts: list[Utterance], out_dir: str | Path,
                        "L_serial": float(l_s.data), "L_parallel": float(l_p.data),
                        "L_total": float(l_total.data)}
                 result.log.append(rec)
-                if optimizer.step_count % cfg.log_every == 0:
-                    log_fh.write(json.dumps(rec) + "\n")
+                log_fh.write(json.dumps(rec) + "\n")
                 if cfg.max_steps and optimizer.step_count >= cfg.max_steps:
                     break
             _save_epoch_checkpoint(model, optimizer, epoch, out_dir)

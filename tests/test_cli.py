@@ -2,10 +2,12 @@
 
 import hashlib
 import json
+import struct
 
 import numpy as np
 import pytest
 
+from spdp.checkpoint import load_checkpoint, save_checkpoint
 from spdp.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 
 BASE_KEYS = """
@@ -194,6 +196,37 @@ def test_eval_missing_checkpoint_is_data_error(workspace, capsys):
     assert main(["eval", "--config", str(cfg), "--out", str(workspace["root"] / "x"),
                  "--checkpoint", str(workspace["root"] / "missing.spdp")]) == EXIT_DATA
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("damage, message", [
+    ("drop_tensor", "checkpoint missing tensor 'parallel.sub_a.w'"),
+    ("version_1", "unsupported checkpoint version 1"),
+])
+def test_eval_refuses_damaged_checkpoint_as_data_error(workspace, tmp_path, capsys,
+                                                       damage, message):
+    src = workspace["run"] / "ckpt-epoch-1.spdp"
+    bad = tmp_path / "bad.spdp"
+    if damage == "drop_tensor":
+        blobs = load_checkpoint(src)
+        del blobs["parallel.sub_a.w"]
+        save_checkpoint(bad, blobs)
+    else:
+        raw = bytearray(src.read_bytes())
+        raw[4:8] = struct.pack("<I", 1)
+        bad.write_bytes(bytes(raw))
+    assert main(["eval", "--config", str(workspace["cfg"]), "--out", str(tmp_path / "e"),
+                 "--checkpoint", str(bad)]) == EXIT_DATA
+    assert message in capsys.readouterr().err
+
+
+def test_train_nan_loss_is_numeric_failure(workspace, tmp_path, capsys):
+    blobs = load_checkpoint(workspace["run"] / "ckpt-epoch-0.spdp")
+    blobs["serial.enc_conv1.weight"].data[...] = np.inf
+    poisoned = tmp_path / "poisoned.spdp"
+    save_checkpoint(poisoned, blobs)
+    assert main(["train", "--config", str(workspace["cfg"]), "--out", str(tmp_path / "r"),
+                 "--resume", str(poisoned)]) == EXIT_NUMERIC
+    assert "loss is NaN" in capsys.readouterr().err
 
 
 # -- filter -----------------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Unit tests for corpus synthesis, acoustic features, and dataset curation."""
 
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -98,6 +100,22 @@ def test_corpus_load_detects_count_mismatch(tmp_path):
     lines = manifest.read_text().splitlines()
     manifest.write_text("\n".join(lines[:-3]) + "\n")
     with pytest.raises(ValueError, match="disagree"):
+        load_corpus(manifest, frames)
+
+
+@pytest.mark.parametrize("kind", ["shifted", "header", "past_end", "float"])
+def test_corpus_load_rejects_offset_off_the_block_grid(tmp_path, kind):
+    utts = generate_corpus(CorpusConfig(n_per_class=4, seed=6), VOCAB)
+    manifest, frames = tmp_path / "manifest.jsonl", tmp_path / "frames.bin"
+    save_corpus(utts, manifest, frames)
+    block = 8 * utts[0].frames.size
+    recs = [json.loads(l) for l in manifest.read_text().splitlines()]
+    off = recs[5]["frames_offset"]
+    recs[5]["frames_offset"] = {"shifted": off + 8, "header": 0,
+                                "past_end": 24 + len(utts) * block,
+                                "float": float(off)}[kind]
+    manifest.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    with pytest.raises(ValueError, match=f"utterance '{recs[5]['id']}': frames_offset"):
         load_corpus(manifest, frames)
 
 

@@ -115,9 +115,11 @@ def test_subspace_matches_direct_computation():
     h_a = rng.normal(size=(1, 3, 16))
     h_al = rng.normal(size=(1, 3, 16))
     s = model.subspace_similarities(Tensor(h_a), Tensor(h_al))
+    d = model.cfg.d_shared
     for n in range(2):
-        pa = h_a @ model.sub_a[n].w.data + model.sub_a[n].b.data
-        pt = h_al @ model.sub_t[n].w.data + model.sub_t[n].b.data
+        cols = slice(n * d, (n + 1) * d)
+        pa = h_a @ model.sub_a.w.data[:, cols] + model.sub_a.b.data[cols]
+        pt = h_al @ model.sub_t.w.data[:, cols] + model.sub_t.b.data[cols]
         dots = (pa * pt).sum(-1)
         norms = np.linalg.norm(pa, axis=-1) * np.linalg.norm(pt, axis=-1)
         npt.assert_allclose(s.data[..., n], dots / (norms + 1e-8), atol=1e-10)
@@ -131,12 +133,42 @@ def test_subspace_scale_invariance():
     base = model.subspace_similarities(Tensor(h_a), Tensor(h_al)).data
     # Scaling a *projected-space* input is not invariant (bias term), so scale
     # the projections themselves by dropping biases to zero first.
-    for lin in model.sub_a + model.sub_t:
+    for lin in (model.sub_a, model.sub_t):
         lin.b.data[:] = 0.0
     one = model.subspace_similarities(Tensor(h_a), Tensor(h_al)).data
     four = model.subspace_similarities(Tensor(4.0 * h_a), Tensor(h_al)).data
     npt.assert_allclose(one, four, atol=1e-6)
     assert base.shape == one.shape
+
+
+def test_subspace_graph_size_does_not_grow_with_subspace_count():
+    def node_count(n_subspaces):
+        model = make_model(n_subspaces=n_subspaces, classifier_heads=2)
+        rng = np.random.default_rng(7)
+        s = model.subspace_similarities(Tensor(rng.normal(size=(1, 3, 16))),
+                                        Tensor(rng.normal(size=(1, 3, 16))))
+        seen, stack = {id(s)}, [s]
+        while stack:
+            for parent in stack.pop()._parents:
+                if id(parent) not in seen:
+                    seen.add(id(parent))
+                    stack.append(parent)
+        return len(seen)
+
+    assert node_count(2) == node_count(8)
+
+
+def test_subspace_blocks_keep_per_subspace_init_draws():
+    cfg = small_cfg()
+    model = make_model(seed=3)
+    rng = np.random.default_rng(3)
+    d, bound = cfg.d_shared, 1.0 / np.sqrt(cfg.d_shared)
+    rng.uniform(size=cfg.emb_a_dim * d)          # proj_a
+    rng.uniform(size=cfg.emb_t_dim * d)          # proj_t
+    for lin in (model.sub_a, model.sub_t):
+        for n in range(cfg.n_subspaces):
+            block = rng.uniform(-bound, bound, size=(d, d))
+            assert lin.w.data[:, n * d:(n + 1) * d].tobytes() == block.tobytes()
 
 
 # -- representation ------------------------------------------------------------------

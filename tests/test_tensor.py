@@ -350,3 +350,18 @@ def test_checkpoint_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError, match="magic"):
         load_checkpoint(path)
+
+
+def test_checkpoint_failed_save_keeps_previous_file(tmp_path):
+    class Unreadable:
+        @property
+        def data(self):
+            raise OSError("device full")
+
+    path = tmp_path / "model.spdp"
+    save_checkpoint(path, {"w": Tensor(np.arange(6.0))})
+    before = path.read_bytes()
+    with pytest.raises(OSError, match="device full"):
+        save_checkpoint(path, {"w": Tensor(np.ones(3)), "late": Unreadable()})
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.spdp"]
