@@ -52,29 +52,41 @@ def save_checkpoint(path: str | Path, tensors: dict[str, Tensor]) -> None:
 
 
 def load_checkpoint(path: str | Path) -> dict[str, Tensor]:
+    """Read every record; a file that is not a whole checkpoint is a ValueError
+    naming the file and, where known, the tensor."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != MAGIC:
-        raise ValueError("not a checkpoint file: bad magic")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
+        raise ValueError(f"{path}: not a checkpoint file: bad magic")
     out: dict[str, Tensor] = {}
-    off = 8
-    total = len(blob)
-    while off < total:
-        (name_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off:off + name_len].decode("utf-8")
-        off += name_len
-        (rank,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        shape = struct.unpack_from(f"<{rank}Q", blob, off) if rank else ()
-        off += 8 * rank
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape)
-        off += 8 * count
-        out[name] = Tensor(arr.astype(np.float64))
+    off, total = 8, len(blob)
+    name = None
+    try:
+        (version,) = struct.unpack_from("<I", blob, 4)
+        if version != VERSION:
+            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+        while off < total:
+            name = None
+            (name_len,) = struct.unpack_from("<I", blob, off)
+            off += 4
+            if off + name_len > total:
+                raise struct.error("name runs past the end")
+            name = blob[off:off + name_len].decode("utf-8")
+            off += name_len
+            (rank,) = struct.unpack_from("<I", blob, off)
+            off += 4
+            shape = struct.unpack_from(f"<{rank}Q", blob, off) if rank else ()
+            off += 8 * rank
+            count = int(np.prod(shape, dtype=np.int64)) if rank else 1
+            if off + 8 * count > total:
+                raise ValueError(f"{path}: checkpoint is cut short in the payload of "
+                                 f"tensor {name!r} ({total - off} of {8 * count} bytes)")
+            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape)
+            off += 8 * count
+            out[name] = Tensor(arr.astype(np.float64))
+    except struct.error as err:
+        where = f"tensor {name!r}" if name is not None else f"record {len(out) + 1}"
+        raise ValueError(f"{path}: checkpoint is cut short in the header of {where}") from err
     return out
 
 

@@ -23,8 +23,8 @@ from .config import RunConfig, make_run_config, parse_config_file
 from .corpus import generate_corpus, load_corpus, save_corpus
 from .fusion import total_loss
 from .gradcheck import grad_check
-from .trainer import (SpdpModel, evaluate, resume_from, train,
-                      write_confusion_csv)
+from .trainer import (NO_LINGUISTIC_EVIDENCE, SpdpModel, evaluate, resume_from,
+                      train, write_confusion_csv)
 from .vocab import Vocab, build_vocab
 
 EXIT_OK = 0
@@ -235,8 +235,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     model = _restored_model(cfg, args.checkpoint)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    evaluate(model, utts, records_out=out / "predictions.jsonl")
-    print(f"wrote {len(utts)} prediction records to {out / 'predictions.jsonl'}")
+    report = evaluate(model, utts, records_out=out / "predictions.jsonl")
+    written = report.n - report.fallback_counts.get(NO_LINGUISTIC_EVIDENCE, 0)
+    print(f"wrote {written} prediction records to {out / 'predictions.jsonl'}")
     return EXIT_OK
 
 

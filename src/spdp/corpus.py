@@ -126,8 +126,12 @@ def save_corpus(utts: list[Utterance], manifest_path: str | Path,
 def load_corpus(manifest_path: str | Path, frames_path: str | Path) -> list[Utterance]:
     with open(frames_path, "rb") as fh:
         blob = fh.read()
+    header = struct.calcsize("<3Q")
+    if len(blob) < header:
+        raise ValueError(f"{frames_path}: frames sidecar is cut short inside its "
+                         f"{header}-byte header")
     count, t0, feat_dim = struct.unpack_from("<3Q", blob, 0)
-    header, block = struct.calcsize("<3Q"), 8 * t0 * feat_dim
+    block = 8 * t0 * feat_dim
     utts: list[Utterance] = []
     with open(manifest_path, encoding="utf-8") as fh:
         for line in fh:
@@ -137,10 +141,12 @@ def load_corpus(manifest_path: str | Path, frames_path: str | Path) -> list[Utte
             rec = json.loads(line)
             offset = rec["frames_offset"]
             if (type(offset) is not int or block == 0
-                    or offset not in range(header, header + count * block, block)
-                    or offset + block > len(blob)):
+                    or offset not in range(header, header + count * block, block)):
                 raise ValueError(f"utterance {rec['id']!r}: frames_offset {offset!r} "
                                  "is not a frame block of the sidecar")
+            if offset + block > len(blob):
+                raise ValueError(f"{frames_path}: frames sidecar is cut short in the "
+                                 f"frames of utterance {rec['id']!r}")
             frames = np.frombuffer(blob, dtype="<f8", count=t0 * feat_dim,
                                    offset=offset).reshape(t0, feat_dim)
             utts.append(Utterance(

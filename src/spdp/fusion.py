@@ -106,35 +106,44 @@ class PredictionRecord:
 
 def predict(frames: np.ndarray, serial: SerialModel, parallel: ParallelPathModel,
             style_map: StyleMap, cfg: FusionConfig,
-            prompt: list[int]) -> PredictionRecord:
-    """Full inference for one utterance over frozen parameters.
+            prompt: list[int]) -> list[PredictionRecord | None]:
+    """Full inference for B equal-length utterances, frames (B, T, F), over
+    frozen parameters; one record per row.
 
     Serial generation always runs first; the parallel path consumes the
-    generated transcript's hidden states. When "<" never appears the serial
-    vote is unavailable, so the fused result falls back to q alone.
+    generated transcripts' hidden states, once for all rows that have one.
+    A row with an empty transcript has no linguistic evidence and gets None.
+    When "<" never appears the serial vote is unavailable, so the fused
+    result falls back to q alone.
     """
     cfg.validate()
     frames = np.asarray(frames, dtype=np.float64)
+    if frames.ndim != 3:
+        raise ValueError("predict takes a (B, T, F) batch of frames")
+    records: list[PredictionRecord | None] = [None] * frames.shape[0]
     with T.no_grad():
-        batch_frames = frames[None, :, :]
-        frame_mask = np.ones((1, frames.shape[0]), dtype=bool)
-        enc_last, emb_a, enc_mask = serial.encode(batch_frames, frame_mask)
+        frame_mask = np.ones(frames.shape[:2], dtype=bool)
+        enc_last, emb_a, enc_mask = serial.encode(frames, frame_mask)
         audio_prefix, audio_mask = serial.adapt(enc_last, enc_mask)
         gen = serial.generate_greedy(audio_prefix, audio_mask, prompt)
-        if not gen.transcript:
-            raise ValueError("no linguistic evidence")
-        text_mask = np.ones((1, len(gen.transcript)), dtype=bool)
-        out = parallel.forward(emb_a, gen.emb_t, text_mask, enc_mask)
-        q = np.exp(out.log_probs.data[0])
-        flags = list(gen.flags)
-        if gen.p_nt is None:
+        rows = [i for i, transcript in enumerate(gen.transcript) if transcript]
+        if not rows:
+            return records
+        s_len = max(len(gen.transcript[i]) for i in rows)
+        out = parallel.forward(emb_a.data[rows], gen.emb_t[rows, :s_len],
+                               gen.emb_t_mask[rows, :s_len], enc_mask[rows])
+    for i, log_q in zip(rows, out.log_probs.data):
+        q = np.exp(log_q)
+        flags = list(gen.flags[i])
+        if gen.p_nt[i] is None:
             flags.append(PARALLEL_ONLY_FALLBACK)
             p = np.full(8, 1.0 / 8.0)
             final, cls_idx = q.copy(), int(np.argmax(q))
         else:
-            p, p_flags = serial_style_distribution(gen.p_nt, style_map)
+            p, p_flags = serial_style_distribution(gen.p_nt[i], style_map)
             flags.extend(p_flags)
             final, cls_idx = fuse(p, q, cfg)
-    return PredictionRecord(transcript=list(gen.transcript), p=list(map(float, p)),
-                            q=list(map(float, q)), final=list(map(float, final)),
-                            cls=cls_idx, flags=flags)
+        records[i] = PredictionRecord(
+            transcript=list(gen.transcript[i]), p=list(map(float, p)),
+            q=list(map(float, q)), final=list(map(float, final)), cls=cls_idx, flags=flags)
+    return records

@@ -74,11 +74,30 @@ class Conv1d:
         return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
 
+class KVCache:
+    """Keys and values, (B, H, T, head_dim) each, one attention layer has seen so far."""
+
+    def __init__(self):
+        self.k: Tensor | None = None
+        self.v: Tensor | None = None
+
+    def extend(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Append the new positions' keys and values; return all of them."""
+        if self.k is not None:
+            k = T.concat([self.k, k], axis=2)
+            v = T.concat([self.v, v], axis=2)
+        self.k, self.v = k, v
+        return k, v
+
+
 class MultiHeadAttention:
     """Standard scaled dot-product attention with an additive mask.
 
     The mask is a plain ndarray of 0 / -inf entries broadcastable to the
-    (B, H, T_q, T_k) score block; it never carries gradient.
+    (B, H, T_q, T_k) score block; it never carries gradient. With a
+    ``KVCache`` the keys are the cached positions followed by ``x_kv``'s, and
+    ``x_kv``'s keys and values are added to the cache. The cache holds no
+    graph, so it is refused while gradients are on.
     """
 
     def __init__(self, rng: np.random.Generator, dim: int, n_heads: int):
@@ -95,12 +114,17 @@ class MultiHeadAttention:
     def _split(self, x: Tensor, batch: int, t: int) -> Tensor:
         return T.transpose(T.reshape(x, (batch, t, self.n_heads, self.head_dim)), (0, 2, 1, 3))
 
-    def __call__(self, x_q: Tensor, x_kv: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    def __call__(self, x_q: Tensor, x_kv: Tensor, mask: np.ndarray | None = None,
+                 cache: KVCache | None = None) -> Tensor:
+        if cache is not None and T.grad_enabled():
+            raise ValueError("a K/V cache is for inference only; run it under no_grad")
         batch, t_q, _ = x_q.shape
         t_k = x_kv.shape[1]
         q = self._split(self.wq(x_q), batch, t_q)
         k = self._split(self.wk(x_kv), batch, t_k)
         v = self._split(self.wv(x_kv), batch, t_k)
+        if cache is not None:
+            k, v = cache.extend(k, v)
         scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(self.head_dim))
         attn = T.softmax(scores, axis=-1, mask=mask)
         mixed = T.matmul(attn, v)
@@ -126,9 +150,10 @@ class TransformerLayer:
         self.fc1 = Linear(rng, dim, ffn_mult * dim)
         self.fc2 = Linear(rng, ffn_mult * dim, dim)
 
-    def __call__(self, x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    def __call__(self, x: Tensor, mask: np.ndarray | None = None,
+                 cache: KVCache | None = None) -> Tensor:
         h = self.ln1(x)
-        x = T.add(x, self.attn(h, h, mask=mask))
+        x = T.add(x, self.attn(h, h, mask=mask, cache=cache))
         return T.add(x, self.fc2(T.gelu(self.fc1(self.ln2(x)))))
 
     def params(self, prefix: str) -> dict[str, Tensor]:
@@ -160,7 +185,8 @@ def key_padding_mask(valid: np.ndarray) -> np.ndarray:
     return mask[:, None, None, :]
 
 
-def causal_mask(t: int) -> np.ndarray:
-    """Additive (1, 1, t, t) mask: position j sees keys 0..j only."""
-    mask = np.full((t, t), -np.inf)
-    return np.triu(mask, k=1)[None, None, :, :]
+def causal_mask(t: int, past: int = 0) -> np.ndarray:
+    """Additive (1, 1, t, past + t) mask for t queries that follow ``past``
+    cached positions: query j sees keys 0..past + j only."""
+    mask = np.full((t, past + t), -np.inf)
+    return np.triu(mask, k=past + 1)[None, None, :, :]

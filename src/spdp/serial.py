@@ -13,12 +13,12 @@ linguistic embedding).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .layers import (Conv1d, Embedding, LayerNorm, Linear, TransformerLayer,
+from .layers import (Conv1d, Embedding, KVCache, LayerNorm, Linear, TransformerLayer,
                      causal_mask, key_padding_mask, sinusoidal_positions)
 from .tensor import Tensor
 from .vocab import EOS_ID, PAD_ID, STYLE_OPEN_ID
@@ -56,11 +56,21 @@ class SerialConfig:
 
 @dataclass
 class GenerationResult:
-    tokens: list[int]
-    p_nt: np.ndarray | None          # next-token distribution after "<"
-    transcript: list[int]            # generated tokens before the first "<"
-    emb_t: Tensor | None             # (1, K, dec_dim) over transcript positions
-    flags: list[str] = field(default_factory=list)
+    """Greedy decodes of B rows; each list holds one entry per row."""
+    tokens: list[list[int]]
+    p_nt: list[np.ndarray | None]    # next-token distribution after the first "<"
+    transcript: list[list[int]]      # generated tokens before the first "<"
+    flags: list[list[str]]
+    emb_t: np.ndarray                # (B, S, dec_dim) over transcript positions, S the
+    emb_t_mask: np.ndarray           # longest transcript; zero where the (B, S) mask is off
+
+
+@dataclass
+class DecoderCache:
+    """What a cached decode keeps between ``decode_hidden`` calls (no_grad only)."""
+    layers: list[KVCache]            # one per decoder layer
+    positions: np.ndarray            # position table covering the whole decode
+    valid: np.ndarray                # (B, positions so far) key validity
 
 
 class SerialModel:
@@ -121,24 +131,41 @@ class SerialModel:
 
     # -- decoder ------------------------------------------------------------------
 
-    def decode_hidden(self, audio_prefix: Tensor, audio_mask: np.ndarray,
-                      text_ids: np.ndarray, text_valid: np.ndarray) -> Tensor:
+    def decode_hidden(self, audio_prefix: Tensor | None, audio_mask: np.ndarray | None,
+                      text_ids: np.ndarray, text_valid: np.ndarray,
+                      cache: DecoderCache | None = None) -> Tensor:
         """Last-layer hidden states over the text span of [audio | text].
 
         Attention is causal over the concatenated sequence; since the audio
         prefix precedes all text, every text position sees the full prefix
         while text remains causal among itself. Padded keys are removed.
+
+        With a cache, every layer also keeps its keys and values. The first
+        call on an empty cache runs [audio | text]; each later call passes
+        ``audio_prefix=None`` and only the next text positions, which attend
+        to everything cached before them.
         """
-        batch, a_len = audio_mask.shape
-        t_len = text_ids.shape[1]
-        total = a_len + t_len
-        tok = self.embed(text_ids)
-        x = T.concat([audio_prefix, tok], axis=1)
-        x = T.add(x, sinusoidal_positions(total, self.cfg.dec_dim))
-        valid = np.concatenate([audio_mask.astype(bool), text_valid.astype(bool)], axis=1)
-        mask = causal_mask(total) + key_padding_mask(valid)
-        for layer in self.dec_layers:
-            x = layer(x, mask=mask)
+        past = 0 if cache is None else cache.valid.shape[1]
+        if (audio_prefix is None) != (past > 0):
+            raise ValueError("the audio prefix goes into the first decoder call only")
+        x = self.embed(text_ids)
+        valid = text_valid.astype(bool)
+        a_len = 0
+        if audio_prefix is not None:
+            a_len = audio_mask.shape[1]
+            x = T.concat([audio_prefix, x], axis=1)
+            valid = np.concatenate([audio_mask.astype(bool), valid], axis=1)
+        total = past + x.shape[1]
+        layer_caches = [None] * len(self.dec_layers)
+        if cache is None:
+            table = sinusoidal_positions(total, self.cfg.dec_dim)
+        else:
+            table, layer_caches = cache.positions, cache.layers
+            valid = cache.valid = np.concatenate([cache.valid, valid], axis=1)
+        x = T.add(x, table[past:total])
+        mask = causal_mask(x.shape[1], past) + key_padding_mask(valid)
+        for layer, kv in zip(self.dec_layers, layer_caches):
+            x = layer(x, mask=mask, cache=kv)
         x = self.dec_norm(x)
         return T.take(x, (slice(None), slice(a_len, total)))
 
@@ -175,45 +202,57 @@ class SerialModel:
 
     def generate_greedy(self, audio_prefix: Tensor, audio_mask: np.ndarray,
                         prompt: list[int]) -> GenerationResult:
-        """Deterministic greedy decoding for a single utterance.
+        """Deterministic greedy decoding of B rows together, with a K/V cache.
 
-        Captures the full next-token distribution at the step immediately
-        after "<" is emitted; recomputes the forward pass each step.
+        One cached pass over [audio | prompt], then one cached step per
+        token. A row stops at EOS; decoding stops when every row has, or
+        after ``max_decode_len`` tokens. Per row, ``p_nt`` is the next-token
+        distribution at the step right after the first "<". ``emb_t`` comes
+        from the hidden states of the fed tokens, so a row still running at
+        the end feeds its last token once more.
         """
-        if audio_prefix.shape[0] != 1:
-            raise ValueError("greedy generation runs one utterance at a time")
-        generated: list[int] = []
-        p_nt: np.ndarray | None = None
+        batch, a_len = audio_mask.shape
+        max_len = self.cfg.max_decode_len
+        tokens: list[list[int]] = [[] for _ in range(batch)]
+        p_nt: list[np.ndarray | None] = [None] * batch
+        states = np.zeros((batch, max_len, self.cfg.dec_dim))
+        running = np.ones(batch, dtype=bool)
         with T.no_grad():
-            for _ in range(self.cfg.max_decode_len):
-                row = list(prompt) + generated
-                text_ids = np.asarray([row], dtype=np.int64)
-                text_valid = np.ones((1, len(row)), dtype=bool)
-                hidden = self.decode_hidden(audio_prefix, audio_mask, text_ids, text_valid)
-                logits = self.head(T.take(hidden, (slice(None), slice(len(row) - 1, len(row)))))
-                dist = T.softmax(logits, axis=-1).data[0, 0]
-                if generated and generated[-1] == STYLE_OPEN_ID and p_nt is None:
-                    p_nt = dist.copy()
-                nxt = int(np.argmax(dist))
-                generated.append(nxt)
-                if nxt == EOS_ID:
+            cache = DecoderCache([KVCache() for _ in self.dec_layers],
+                                 sinusoidal_positions(a_len + len(prompt) + max_len,
+                                                      self.cfg.dec_dim),
+                                 np.zeros((batch, 0), dtype=bool))
+            ids = np.tile(np.asarray(prompt, dtype=np.int64), (batch, 1))
+            last = self.decode_hidden(audio_prefix, audio_mask, ids,
+                                      np.ones(ids.shape, dtype=bool), cache).data[:, -1:]
+            for step in range(max_len):
+                dist = T.softmax(self.head(last), axis=-1).data[:, 0]
+                nxt = dist.argmax(axis=-1)
+                for i in np.flatnonzero(running):
+                    if tokens[i] and tokens[i][-1] == STYLE_OPEN_ID and p_nt[i] is None:
+                        p_nt[i] = dist[i].copy()
+                    tokens[i].append(int(nxt[i]))
+                running &= nxt != EOS_ID
+                if not running.any():
                     break
-            flags: list[str] = []
-            if STYLE_OPEN_ID in generated:
-                transcript = generated[:generated.index(STYLE_OPEN_ID)]
+                last = self.decode_hidden(None, None, nxt[:, None],
+                                          np.ones((batch, 1), dtype=bool), cache).data
+                states[:, step] = last[:, 0]
+        transcripts: list[list[int]] = []
+        flags: list[list[str]] = []
+        for i, row in enumerate(tokens):
+            if STYLE_OPEN_ID in row:
+                transcripts.append(row[:row.index(STYLE_OPEN_ID)])
+                flags.append([])
             else:
-                flags.append("NoTermination")
-                p_nt = None
-                transcript = [t for t in generated if t != EOS_ID]
-            emb_t = None
-            if transcript:
-                row = list(prompt) + generated
-                text_ids = np.asarray([row], dtype=np.int64)
-                text_valid = np.ones((1, len(row)), dtype=bool)
-                hidden = self.decode_hidden(audio_prefix, audio_mask, text_ids, text_valid)
-                emb_t, _ = _gather_transcript(hidden, [prompt], [len(transcript)])
-        return GenerationResult(tokens=generated, p_nt=p_nt,
-                                transcript=transcript, emb_t=emb_t, flags=flags)
+                transcripts.append([t for t in row if t != EOS_ID])
+                flags.append(["NoTermination"])
+                p_nt[i] = None
+        lens = np.array([len(t) for t in transcripts])
+        emb_t_mask = np.arange(lens.max()) < lens[:, None]
+        emb_t = np.where(emb_t_mask[:, :, None], states[:, :lens.max()], 0.0)
+        return GenerationResult(tokens=tokens, p_nt=p_nt, transcript=transcripts,
+                                flags=flags, emb_t=emb_t, emb_t_mask=emb_t_mask)
 
     # -- parameter registry ----------------------------------------------------------
 

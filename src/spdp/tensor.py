@@ -282,7 +282,11 @@ def matmul(a, b) -> Tensor:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
             a._accum_grad(_unbroadcast(ga, a.data.shape))
         if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+            if b.ndim == 2:
+                # A shared weight: one 2-D product over every leading row of a.
+                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             b._accum_grad(_unbroadcast(gb, b.data.shape))
 
     return _attach(out, (a, b), bw)
@@ -430,14 +434,25 @@ def concat(tensors: Iterable[Tensor], axis: int = -1) -> Tensor:
     return _attach(out, tuple(parts), bw)
 
 
+def _basic_index(idx) -> bool:
+    """True when ``idx`` holds only slices and ints, so no element repeats."""
+    parts = idx if isinstance(idx, tuple) else (idx,)
+    return all(isinstance(p, slice) or (isinstance(p, (int, np.integer))
+                                        and not isinstance(p, bool)) for p in parts)
+
+
 def take(a, idx) -> Tensor:
     """Indexing/slicing; integer-array indices accumulate grads via add.at."""
     a = as_tensor(a)
     out = Tensor(a.data[idx])
+    basic = _basic_index(idx)
 
     def bw(g):
         buf = np.zeros_like(a.data)
-        np.add.at(buf, idx, g)
+        if basic:
+            buf[idx] = g
+        else:
+            np.add.at(buf, idx, g)
         a._accum_grad(buf)
 
     return _attach(out, (a,), bw)

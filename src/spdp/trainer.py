@@ -181,11 +181,13 @@ class MetricsReport:
 
 def evaluate(model: SpdpModel, utts: list[Utterance],
              records_out: Path | None = None) -> MetricsReport:
-    """Run full inference per utterance and tally all three voting routes.
+    """Run full inference and tally all three voting routes.
 
-    The serial route scores a hit only when a usable p exists; utterances
-    whose generation yields no transcript at all fall back to class 0 with a
-    flag rather than aborting the whole evaluation.
+    Utterances go to ``predict`` in runs of up to ``batch_size`` consecutive
+    ones with the same frame count; records keep the utterance order. The
+    serial route scores a hit only when a usable p exists; utterances whose
+    generation yields no transcript at all fall back to class 0 with a flag
+    and get no record, rather than aborting the whole evaluation.
     """
     if not utts:
         raise ValueError("evaluation split is empty")
@@ -195,31 +197,27 @@ def evaluate(model: SpdpModel, utts: list[Utterance],
     serial_hits = parallel_hits = fused_hits = 0
     fallbacks: dict[str, int] = {}
     lines: list[str] = []
-    for u in utts:
-        try:
-            rec = predict(u.frames, model.serial, model.parallel, model.style_map,
-                          cfg, prompt)
-        except ValueError as err:
-            if "no linguistic evidence" not in str(err):
-                raise
-            rec = None
-        if rec is None:
-            fallbacks[NO_LINGUISTIC_EVIDENCE] = fallbacks.get(NO_LINGUISTIC_EVIDENCE, 0) + 1
-            confusion[u.gold_style, 0] += 1
-            continue
-        for flag in rec.flags:
-            fallbacks[flag] = fallbacks.get(flag, 0) + 1
-        serial_ok = PARALLEL_ONLY_FALLBACK not in rec.flags \
-            and NO_TERMINATION not in rec.flags
-        if serial_ok and int(np.argmax(rec.p)) == u.gold_style:
-            serial_hits += 1
-        if int(np.argmax(rec.q)) == u.gold_style:
-            parallel_hits += 1
-        if rec.cls == u.gold_style:
-            fused_hits += 1
-        confusion[u.gold_style, rec.cls] += 1
-        if records_out is not None:
-            lines.append(rec.to_json_line())
+    for chunk in _equal_length_runs(utts, model.run_cfg.batch_size):
+        recs = predict(np.stack([u.frames for u in chunk]), model.serial, model.parallel,
+                       model.style_map, cfg, prompt)
+        for u, rec in zip(chunk, recs):
+            if rec is None:
+                fallbacks[NO_LINGUISTIC_EVIDENCE] = fallbacks.get(NO_LINGUISTIC_EVIDENCE, 0) + 1
+                confusion[u.gold_style, 0] += 1
+                continue
+            for flag in rec.flags:
+                fallbacks[flag] = fallbacks.get(flag, 0) + 1
+            serial_ok = PARALLEL_ONLY_FALLBACK not in rec.flags \
+                and NO_TERMINATION not in rec.flags
+            if serial_ok and int(np.argmax(rec.p)) == u.gold_style:
+                serial_hits += 1
+            if int(np.argmax(rec.q)) == u.gold_style:
+                parallel_hits += 1
+            if rec.cls == u.gold_style:
+                fused_hits += 1
+            confusion[u.gold_style, rec.cls] += 1
+            if records_out is not None:
+                lines.append(rec.to_json_line())
     if records_out is not None:
         records_out.write_text("\n".join(lines) + ("\n" if lines else ""),
                                encoding="utf-8")
@@ -232,6 +230,17 @@ def evaluate(model: SpdpModel, utts: list[Utterance],
         confusion=confusion,
         fallback_counts=fallbacks,
     )
+
+
+def _equal_length_runs(utts: list[Utterance], size: int) -> list[list[Utterance]]:
+    """Split into runs of up to ``size`` consecutive utterances of one frame shape."""
+    runs: list[list[Utterance]] = []
+    for u in utts:
+        if runs and len(runs[-1]) < size and u.frames.shape == runs[-1][0].frames.shape:
+            runs[-1].append(u)
+        else:
+            runs.append([u])
+    return runs
 
 
 def write_confusion_csv(report: MetricsReport, path: str | Path) -> None:

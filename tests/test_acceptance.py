@@ -199,21 +199,22 @@ def test_criterion_6_serial_paradigm_contract(trained_system):
     contract_hits = no_termination = 0
     utts = trained_system["test"]
     from spdp import tensor as T
+    batch = model.run_cfg.batch_size
     with T.no_grad():
-        for u in utts:
-            frames = u.frames[None, :, :]
-            mask = np.ones((1, frames.shape[1]), dtype=bool)
+        for lo in range(0, len(utts), batch):
+            frames = np.stack([u.frames for u in utts[lo:lo + batch]])
+            mask = np.ones(frames.shape[:2], dtype=bool)
             enc_last, _, ds = serial.encode(frames, mask)
             prefix, pmask = serial.adapt(enc_last, ds)
             gen = serial.generate_greedy(prefix, pmask, prompt)
-            if "NoTermination" in gen.flags:
-                no_termination += 1
-                continue
-            toks = gen.tokens
-            pos = toks.index(STYLE_OPEN_ID)
-            if toks.count(STYLE_OPEN_ID) == 1 and pos + 1 < len(toks) \
-                    and toks[pos + 1] in first_tokens:
-                contract_hits += 1
+            for toks, flags in zip(gen.tokens, gen.flags):
+                if "NoTermination" in flags:
+                    no_termination += 1
+                    continue
+                pos = toks.index(STYLE_OPEN_ID)
+                if toks.count(STYLE_OPEN_ID) == 1 and pos + 1 < len(toks) \
+                        and toks[pos + 1] in first_tokens:
+                    contract_hits += 1
     rate = contract_hits / len(utts)
     nt_rate = no_termination / len(utts)
     elapsed = time.perf_counter() - t0

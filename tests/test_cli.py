@@ -191,6 +191,25 @@ def test_predict_records_are_normalized(workspace, capsys):
         assert rec["class"] == int(np.argmax(rec["final"]))
 
 
+def test_predict_counts_only_the_records_written(workspace, monkeypatch, capsys):
+    import spdp.trainer
+    real = spdp.trainer.predict
+
+    def second_row_without_evidence(*args):
+        recs = real(*args)
+        if len(recs) > 1:
+            recs[1] = None
+        return recs
+
+    monkeypatch.setattr(spdp.trainer, "predict", second_row_without_evidence)
+    out = workspace["root"] / "pred-none"
+    assert main(["predict", "--config", str(workspace["cfg"]), "--out", str(out),
+                 "--checkpoint", str(workspace["run"] / "ckpt-epoch-1.spdp")]) == EXIT_OK
+    lines = (out / "predictions.jsonl").read_text().splitlines()
+    assert len(lines) == 7
+    assert "wrote 7 prediction records" in capsys.readouterr().out
+
+
 def test_eval_missing_checkpoint_is_data_error(workspace, capsys):
     cfg = workspace["cfg"]
     assert main(["eval", "--config", str(cfg), "--out", str(workspace["root"] / "x"),
@@ -217,6 +236,26 @@ def test_eval_refuses_damaged_checkpoint_as_data_error(workspace, tmp_path, caps
     assert main(["eval", "--config", str(workspace["cfg"]), "--out", str(tmp_path / "e"),
                  "--checkpoint", str(bad)]) == EXIT_DATA
     assert message in capsys.readouterr().err
+
+
+def test_eval_on_a_truncated_checkpoint_is_data_error(workspace, tmp_path, capsys):
+    bad = tmp_path / "cut.spdp"
+    bad.write_bytes((workspace["run"] / "ckpt-epoch-1.spdp").read_bytes()[:51])
+    assert main(["eval", "--config", str(workspace["cfg"]), "--out", str(tmp_path / "e"),
+                 "--checkpoint", str(bad)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "cut.spdp: checkpoint is cut short in the header of tensor" in err
+
+
+def test_eval_on_a_truncated_frames_sidecar_is_data_error(workspace, tmp_path, capsys):
+    frames = tmp_path / "frames.bin"
+    frames.write_bytes((workspace["data"] / "frames.bin").read_bytes()[:10])
+    cfg = tmp_path / "cut.cfg"
+    cfg.write_text(workspace["cfg"].read_text().replace(
+        f"frames = {workspace['data']}/frames.bin", f"frames = {frames}"), encoding="utf-8")
+    assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e"),
+                 "--checkpoint", str(workspace["run"] / "ckpt-epoch-1.spdp")]) == EXIT_DATA
+    assert "frames.bin: frames sidecar is cut short" in capsys.readouterr().err
 
 
 def test_train_nan_loss_is_numeric_failure(workspace, tmp_path, capsys):

@@ -195,9 +195,9 @@ def tiny_models(seed=0, **serial_overrides):
 def test_predict_produces_normalized_record():
     serial, parallel = tiny_models()
     rng = np.random.default_rng(2)
-    frames = rng.normal(size=(12, 8))
-    rec = predict(frames, serial, parallel, STYLE_MAP, FusionConfig(),
-                  VOCAB.prompt_pool[0])
+    frames = rng.normal(size=(1, 12, 8))
+    [rec] = predict(frames, serial, parallel, STYLE_MAP, FusionConfig(),
+                    VOCAB.prompt_pool[0])
     assert len(rec.p) == len(rec.q) == len(rec.final) == 8
     npt.assert_allclose(sum(rec.q), 1.0, atol=1e-9)
     npt.assert_allclose(sum(rec.final), 1.0, atol=1e-9)
@@ -208,9 +208,9 @@ def test_predict_produces_normalized_record():
 def test_predict_no_termination_falls_back_to_parallel():
     serial, parallel = tiny_models(max_decode_len=1)
     rng = np.random.default_rng(3)
-    frames = rng.normal(size=(12, 8))
-    rec = predict(frames, serial, parallel, STYLE_MAP, FusionConfig(),
-                  VOCAB.prompt_pool[0])
+    frames = rng.normal(size=(1, 12, 8))
+    [rec] = predict(frames, serial, parallel, STYLE_MAP, FusionConfig(),
+                    VOCAB.prompt_pool[0])
     assert NO_TERMINATION in rec.flags
     assert PARALLEL_ONLY_FALLBACK in rec.flags
     npt.assert_allclose(rec.final, rec.q, atol=1e-15)
@@ -218,16 +218,16 @@ def test_predict_no_termination_falls_back_to_parallel():
     assert rec.cls == int(np.argmax(rec.q))
 
 
-def test_predict_empty_transcript_raises(monkeypatch):
+def test_predict_empty_transcript_gives_no_record(monkeypatch):
     serial, parallel = tiny_models()
     from spdp.serial import GenerationResult
 
     def immediate_style_open(audio_prefix, audio_mask, prompt):
-        return GenerationResult(tokens=[2], p_nt=np.full(len(VOCAB), 1 / len(VOCAB)),
-                                transcript=[], emb_t=None, flags=[])
+        return GenerationResult(tokens=[[2]], p_nt=[np.full(len(VOCAB), 1 / len(VOCAB))],
+                                transcript=[[]], flags=[[]], emb_t=np.zeros((1, 0, 24)),
+                                emb_t_mask=np.zeros((1, 0), dtype=bool))
 
     monkeypatch.setattr(serial, "generate_greedy", immediate_style_open)
     rng = np.random.default_rng(4)
-    with pytest.raises(ValueError, match="no linguistic evidence"):
-        predict(rng.normal(size=(12, 8)), serial, parallel, STYLE_MAP,
-                FusionConfig(), VOCAB.prompt_pool[0])
+    assert predict(rng.normal(size=(1, 12, 8)), serial, parallel, STYLE_MAP,
+                   FusionConfig(), VOCAB.prompt_pool[0]) == [None]

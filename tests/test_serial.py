@@ -271,9 +271,9 @@ def test_greedy_generation_recovers_target(overfit_bundle):
         enc_last, _, ds = model.encode(frames, mask)
         prefix, pmask = model.adapt(enc_last, ds)
     result = model.generate_greedy(prefix, pmask, prompt)
-    assert result.tokens == target
-    assert result.transcript == transcript
-    assert result.flags == []
+    assert result.tokens == [target]
+    assert result.transcript == [transcript]
+    assert result.flags == [[]]
 
 
 def test_generation_distribution_and_embedding(overfit_bundle):
@@ -282,12 +282,13 @@ def test_generation_distribution_and_embedding(overfit_bundle):
         enc_last, _, ds = model.encode(frames, mask)
         prefix, pmask = model.adapt(enc_last, ds)
     result = model.generate_greedy(prefix, pmask, prompt)
-    assert result.p_nt is not None and result.p_nt.shape == (len(VOCAB),)
-    npt.assert_allclose(result.p_nt.sum(), 1.0, atol=1e-12)
+    p_nt = result.p_nt[0]
+    assert p_nt is not None and p_nt.shape == (len(VOCAB),)
+    npt.assert_allclose(p_nt.sum(), 1.0, atol=1e-12)
     # after overfit, the captured distribution concentrates on the right label
-    assert int(result.p_nt.argmax()) == VOCAB.first_token_ids[4]
-    assert result.emb_t is not None
+    assert int(p_nt.argmax()) == VOCAB.first_token_ids[4]
     assert result.emb_t.shape == (1, len(transcript), 24)
+    assert result.emb_t_mask.shape == (1, len(transcript)) and result.emb_t_mask.all()
 
 
 def test_generation_deterministic(overfit_bundle):
@@ -298,16 +299,16 @@ def test_generation_deterministic(overfit_bundle):
     r1 = model.generate_greedy(prefix, pmask, prompt)
     r2 = model.generate_greedy(prefix, pmask, prompt)
     assert r1.tokens == r2.tokens
-    assert r1.p_nt.tobytes() == r2.p_nt.tobytes()
+    assert r1.p_nt[0].tobytes() == r2.p_nt[0].tobytes()
 
 
 def test_generation_without_style_open_sets_flag():
     model = make_model(max_decode_len=1)
     prefix, pmask, _, _ = prepare_audio(model, seed=10)
     result = model.generate_greedy(prefix, pmask, VOCAB.prompt_pool[0])
-    assert len(result.tokens) == 1
-    assert "NoTermination" in result.flags
-    assert result.p_nt is None
+    assert len(result.tokens[0]) == 1
+    assert "NoTermination" in result.flags[0]
+    assert result.p_nt[0] is None
 
 
 # -- config validation -------------------------------------------------------------------

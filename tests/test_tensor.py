@@ -206,6 +206,42 @@ def test_matmul_gradient_batched():
     assert max(report.values()) < 1e-6
 
 
+def test_matmul_shared_weight_gradient_is_the_stacked_sum():
+    rng = np.random.default_rng(15)
+    a = Tensor(rng.normal(size=(3, 4, 5, 6)), requires_grad=True)
+    w = Tensor(rng.normal(size=(6, 7)), requires_grad=True)
+    g = rng.normal(size=(3, 4, 5, 7))
+    T.tsum(T.mul(T.matmul(a, w), g)).backward()
+    stacked = np.matmul(np.swapaxes(a.data, -1, -2), g).sum(axis=(0, 1))
+    npt.assert_allclose(w.grad, stacked, rtol=0, atol=1e-12)
+    npt.assert_allclose(a.grad, g @ w.data.T, rtol=0, atol=1e-12)
+
+
+def test_take_repeated_advanced_indices_accumulate():
+    a = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
+    T.tsum(T.take(a, np.array([0, 2, 0, 0]))).backward()
+    npt.assert_array_equal(a.grad, [[3] * 3, [0] * 3, [1] * 3, [0] * 3])
+    b = Tensor(np.zeros((2, 3)), requires_grad=True)
+    T.tsum(T.take(b, (np.array([1, 1, 0]), np.array([2, 2, 2])))).backward()
+    npt.assert_array_equal(b.grad, [[0, 0, 1], [0, 0, 2]])
+
+
+@pytest.mark.parametrize("idx", [
+    (slice(None), slice(1, 3)),
+    (slice(None, None, -2), 1),
+    2,
+    (1, slice(0, 3), np.int64(0)),
+])
+def test_take_basic_index_gradient_matches_add_at(idx):
+    rng = np.random.default_rng(16)
+    a = Tensor(rng.normal(size=(4, 3, 2)), requires_grad=True)
+    g = rng.normal(size=a.data[idx].shape)
+    T.tsum(T.mul(T.take(a, idx), g)).backward()
+    want = np.zeros_like(a.data)
+    np.add.at(want, idx, g)
+    assert a.grad.tobytes() == want.tobytes()
+
+
 def test_conv1d_shapes_and_gradient():
     rng = np.random.default_rng(6)
     x = Tensor(rng.normal(size=(2, 10, 3)), requires_grad=True)
@@ -350,6 +386,26 @@ def test_checkpoint_bad_magic_rejected(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(ValueError, match="magic"):
         load_checkpoint(path)
+
+
+def test_checkpoint_cut_anywhere_but_a_record_boundary_is_refused(tmp_path):
+    path = tmp_path / "model.spdp"
+    save_checkpoint(path, {"w": Tensor(np.arange(6.0).reshape(2, 3)),
+                           "b": Tensor(np.ones(2))})
+    raw = path.read_bytes()
+    first = 8 + 4 + 1 + 4 + 2 * 8 + 6 * 8
+    cut_file = tmp_path / "cut.spdp"
+    for cut in range(8, len(raw)):
+        cut_file.write_bytes(raw[:cut])
+        if cut in (8, first):
+            assert len(load_checkpoint(cut_file)) == (cut == first)
+            continue
+        with pytest.raises(ValueError, match="cut.spdp: checkpoint is cut short") as err:
+            load_checkpoint(cut_file)
+        if 8 + 4 + 1 + 4 + 2 * 8 <= cut < first:
+            assert "payload of tensor 'w'" in str(err.value)
+        elif cut > first + 4 + 1:
+            assert "tensor 'b'" in str(err.value)
 
 
 def test_checkpoint_failed_save_keeps_previous_file(tmp_path):
