@@ -90,12 +90,17 @@ def load_checkpoint(path: str | Path) -> dict[str, Tensor]:
     return out
 
 
+def require_tensor(blobs: dict[str, Tensor], name: str) -> np.ndarray:
+    """The payload of ``name``; a checkpoint without it is a ValueError."""
+    if name not in blobs:
+        raise ValueError(f"checkpoint missing tensor {name!r}")
+    return blobs[name].data
+
+
 def restore_params(params: dict[str, Tensor], blobs: dict[str, Tensor]) -> None:
     """Copy checkpoint payloads into live parameter tensors, shape-checked."""
     for name, p in params.items():
-        if name not in blobs:
-            raise ValueError(f"checkpoint missing tensor {name!r}")
-        src = blobs[name].data
+        src = require_tensor(blobs, name)
         if src.shape != p.data.shape:
             raise ValueError(f"shape mismatch for {name!r}: {src.shape} vs {p.data.shape}")
         p.data = np.array(src)

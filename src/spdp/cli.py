@@ -19,7 +19,7 @@ from .audio import (annotate_intersect, build_filter_fixture_set, compute_bins,
                     extract_features5, filter_high_expressivity, load_wav,
                     sample_confused_label)
 from .checkpoint import load_checkpoint, restore_params
-from .config import RunConfig, make_run_config, parse_config_file
+from .config import PROFILES, RunConfig, make_run_config, parse_config_file
 from .corpus import generate_corpus, load_corpus, save_corpus
 from .fusion import total_loss
 from .gradcheck import grad_check
@@ -49,7 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--profile", choices=("desk-dims", "paper-dims"), default=None)
+        p.add_argument("--profile", choices=tuple(PROFILES), default=None)
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--weights", default=None, metavar="a,b",
                        help="fusion weights, e.g. 0.3,0.7")
@@ -120,13 +120,10 @@ def _parse_pair(raw: str, flag: str) -> tuple[float, float]:
 
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
-    pairs: dict[str, object] = {}
-    if args.config is not None:
-        if not Path(args.config).exists():
-            raise DataError(f"config file not found: {args.config}")
+    if args.config is not None and not Path(args.config).is_file():
+        raise DataError(f"config file not found: {args.config}")
     try:
-        if args.config is not None:
-            pairs = parse_config_file(args.config)
+        pairs = parse_config_file(args.config) if args.config is not None else {}
         return make_run_config(pairs, _overrides_from_args(args))
     except (ValueError, TypeError) as err:
         raise UsageError(str(err)) from err
@@ -299,14 +296,8 @@ def cmd_filter(args: argparse.Namespace) -> int:
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
-    overrides = _overrides_from_args(args)
-    overrides["profile"] = "desk-dims"
-    try:
-        pairs = parse_config_file(args.config) if args.config else {}
-        pairs.pop("profile", None)
-        cfg = make_run_config(pairs, overrides)
-    except (ValueError, TypeError) as err:
-        raise UsageError(str(err)) from err
+    args.profile = "desk-dims"      # finite differences are affordable only here
+    cfg = _load_run_config(args)
     model = SpdpModel(cfg)
     rng = np.random.default_rng(cfg.seed + 1)
     frames = rng.normal(size=(2, 12, cfg.feat_dim))

@@ -94,9 +94,9 @@ class MultiHeadAttention:
     """Standard scaled dot-product attention with an additive mask.
 
     The mask is a plain ndarray of 0 / -inf entries broadcastable to the
-    (B, H, T_q, T_k) score block; it never carries gradient. With a
-    ``KVCache`` the keys are the cached positions followed by ``x_kv``'s, and
-    ``x_kv``'s keys and values are added to the cache. The cache holds no
+    (B, H, T, T_k) score block; it never carries gradient. With a
+    ``KVCache`` the keys are the cached positions followed by ``x``'s, and
+    ``x``'s keys and values are added to the cache. The cache holds no
     graph, so it is refused while gradients are on.
     """
 
@@ -114,21 +114,20 @@ class MultiHeadAttention:
     def _split(self, x: Tensor, batch: int, t: int) -> Tensor:
         return T.transpose(T.reshape(x, (batch, t, self.n_heads, self.head_dim)), (0, 2, 1, 3))
 
-    def __call__(self, x_q: Tensor, x_kv: Tensor, mask: np.ndarray | None = None,
+    def __call__(self, x: Tensor, mask: np.ndarray | None = None,
                  cache: KVCache | None = None) -> Tensor:
         if cache is not None and T.grad_enabled():
             raise ValueError("a K/V cache is for inference only; run it under no_grad")
-        batch, t_q, _ = x_q.shape
-        t_k = x_kv.shape[1]
-        q = self._split(self.wq(x_q), batch, t_q)
-        k = self._split(self.wk(x_kv), batch, t_k)
-        v = self._split(self.wv(x_kv), batch, t_k)
+        batch, t, _ = x.shape
+        q = self._split(self.wq(x), batch, t)
+        k = self._split(self.wk(x), batch, t)
+        v = self._split(self.wv(x), batch, t)
         if cache is not None:
             k, v = cache.extend(k, v)
         scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(self.head_dim))
         attn = T.softmax(scores, axis=-1, mask=mask)
         mixed = T.matmul(attn, v)
-        merged = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (batch, t_q, self.dim))
+        merged = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (batch, t, self.dim))
         return self.wo(merged)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
@@ -152,8 +151,7 @@ class TransformerLayer:
 
     def __call__(self, x: Tensor, mask: np.ndarray | None = None,
                  cache: KVCache | None = None) -> Tensor:
-        h = self.ln1(x)
-        x = T.add(x, self.attn(h, h, mask=mask, cache=cache))
+        x = T.add(x, self.attn(self.ln1(x), mask=mask, cache=cache))
         return T.add(x, self.fc2(T.gelu(self.fc1(self.ln2(x)))))
 
     def params(self, prefix: str) -> dict[str, Tensor]:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .checkpoint import require_tensor
 from .tensor import Tensor
 
 
@@ -58,7 +59,7 @@ class AdamW:
         return out
 
     def load_state_tensors(self, blobs: dict[str, Tensor]) -> None:
-        self.step_count = int(blobs["opt.step"].data.reshape(-1)[0])
+        self.step_count = int(require_tensor(blobs, "opt.step").reshape(-1)[0])
         for name in self.params:
-            self.m[name] = np.array(blobs[f"opt.m.{name}"].data)
-            self.v[name] = np.array(blobs[f"opt.v.{name}"].data)
+            self.m[name] = np.array(require_tensor(blobs, f"opt.m.{name}"))
+            self.v[name] = np.array(require_tensor(blobs, f"opt.v.{name}"))

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .checkpoint import load_checkpoint, restore_params, save_checkpoint
+from .checkpoint import load_checkpoint, require_tensor, restore_params, save_checkpoint
 from .config import RunConfig
 from .corpus import Utterance
 from .fusion import (NO_TERMINATION, PARALLEL_ONLY_FALLBACK, StyleMap,
@@ -61,8 +61,6 @@ class SpdpModel:
         audio_prefix, audio_mask = self.serial.adapt(enc_last, enc_mask)
         l_serial, emb_t, emb_t_mask = self.serial.teacher_forced_loss(
             audio_prefix, audio_mask, prompts, targets, transcript_lens)
-        if self.run_cfg.detach_parallel_inputs:
-            emb_a, emb_t = emb_a.detach(), emb_t.detach()
         out = self.parallel.forward(emb_a, emb_t, emb_t_mask, enc_mask)
         l_parallel = self.parallel.loss(out, labels)
         return l_serial, l_parallel
@@ -153,7 +151,7 @@ def resume_from(model: SpdpModel, path: str | Path) -> tuple[AdamW, int]:
     optimizer = AdamW(model.trainable_params(), lr=model.run_cfg.lr,
                       weight_decay=model.run_cfg.weight_decay)
     optimizer.load_state_tensors(blobs)
-    return optimizer, int(blobs["meta.epoch"].data.reshape(-1)[0]) + 1
+    return optimizer, int(require_tensor(blobs, "meta.epoch").reshape(-1)[0]) + 1
 
 
 # -- evaluation ----------------------------------------------------------------------

@@ -65,6 +65,19 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     assert "learning_rate_typo" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", [
+    "transcript_len_min", "transcript_len_max", "enc_layers", "tap_layers", "enc_heads",
+    "conv_downsample", "adaptor_downsample", "adaptor_layers", "dec_layers", "dec_heads",
+    "ffn_mult", "classifier_heads", "classifier_ffn_mult", "use_positions",
+    "detach_parallel_inputs",
+])
+def test_removed_config_key_is_usage_error(tmp_path, capsys, key):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"{key} = 4\n", encoding="utf-8")
+    assert main(["gen-data", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_USAGE
+    assert f"unknown config key {key!r}" in capsys.readouterr().err
+
+
 def test_malformed_weights_flag_is_usage_error(tmp_path, capsys):
     assert main(["gen-data", "--out", str(tmp_path), "--weights", "0.3"]) == EXIT_USAGE
     capsys.readouterr()
@@ -74,6 +87,18 @@ def test_missing_config_file_is_data_error(tmp_path, capsys):
     assert main(["gen-data", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path)]) == EXIT_DATA
     capsys.readouterr()
+
+
+def test_gradcheck_missing_config_file_is_data_error(tmp_path, capsys):
+    assert main(["gradcheck", "--coords", "1",
+                 "--config", str(tmp_path / "nope.cfg")]) == EXIT_DATA
+    assert "config file not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", ["", "."])
+def test_config_path_that_is_not_a_file_is_data_error(tmp_path, capsys, path):
+    assert main(["gen-data", "--config", path, "--out", str(tmp_path)]) == EXIT_DATA
+    assert "config file not found" in capsys.readouterr().err
 
 
 # -- gen-data -------------------------------------------------------------------------
@@ -256,6 +281,21 @@ def test_eval_on_a_truncated_frames_sidecar_is_data_error(workspace, tmp_path, c
     assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e"),
                  "--checkpoint", str(workspace["run"] / "ckpt-epoch-1.spdp")]) == EXIT_DATA
     assert "frames.bin: frames sidecar is cut short" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_dropped, missing", [
+    (1, "meta.epoch"),
+    (3, "opt.m.parallel.head.b"),
+])
+def test_resume_from_a_checkpoint_cut_at_a_record_boundary_is_data_error(
+        workspace, tmp_path, capsys, n_dropped, missing):
+    src = workspace["run"] / "ckpt-epoch-0.spdp"
+    cut = tmp_path / "cut.spdp"
+    save_checkpoint(cut, dict(list(load_checkpoint(src).items())[:-n_dropped]))
+    assert src.read_bytes().startswith(cut.read_bytes())
+    assert main(["train", "--config", str(workspace["cfg"]), "--out", str(tmp_path / "r"),
+                 "--resume", str(cut)]) == EXIT_DATA
+    assert f"checkpoint missing tensor {missing!r}" in capsys.readouterr().err
 
 
 def test_train_nan_loss_is_numeric_failure(workspace, tmp_path, capsys):
