@@ -131,7 +131,7 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
 
 def _load_vocab(cfg: RunConfig) -> Vocab:
     if cfg.vocab_file:
-        if not Path(cfg.vocab_file).exists():
+        if not Path(cfg.vocab_file).is_file():
             raise DataError(f"vocab file not found: {cfg.vocab_file}")
         return Vocab.load(cfg.vocab_file)
     return build_vocab()
@@ -141,7 +141,7 @@ def _require_corpus(cfg: RunConfig):
     for label, path in (("manifest", cfg.manifest), ("frames", cfg.frames)):
         if not path:
             raise DataError(f"config must set '{label}' for this command")
-        if not Path(path).exists():
+        if not Path(path).is_file():
             raise DataError(f"{label} file not found: {path}")
     return load_corpus(cfg.manifest, cfg.frames)
 
@@ -179,7 +179,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     vocab.save(out / "vocab.tsv")
     start_epoch, optimizer = 0, None
     if cfg.resume:
-        if not Path(cfg.resume).exists():
+        if not Path(cfg.resume).is_file():
             raise DataError(f"resume checkpoint not found: {cfg.resume}")
         optimizer, start_epoch = resume_from(model, cfg.resume)
     train_utts = [u for u in utts if u.split == "train"]
@@ -193,7 +193,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _restored_model(cfg: RunConfig, checkpoint: str) -> SpdpModel:
-    if not Path(checkpoint).exists():
+    if not Path(checkpoint).is_file():
         raise DataError(f"checkpoint not found: {checkpoint}")
     model = SpdpModel(cfg, _load_vocab(cfg))
     restore_params(model.params(), load_checkpoint(checkpoint))
@@ -205,7 +205,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     utts = [u for u in _require_corpus(cfg) if u.split == args.split]
     if not utts:
         raise DataError(f"split {args.split!r} is empty")
-    if not Path(args.checkpoint).exists():
+    if not Path(args.checkpoint).is_file():
         raise DataError(f"checkpoint not found: {args.checkpoint}")
     before = hashlib.sha256(Path(args.checkpoint).read_bytes()).hexdigest()
     model = _restored_model(cfg, args.checkpoint)

@@ -27,7 +27,7 @@ class Linear:
         self.b = Tensor(np.zeros(d_out), requires_grad=True)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.add(T.matmul(x, self.w), self.b)
+        return T.linear(x, self.w, self.b)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
@@ -75,19 +75,32 @@ class Conv1d:
 
 
 class KVCache:
-    """Keys and values, (B, H, T, head_dim) each, one attention layer has seen so far."""
+    """Keys and values one attention layer has seen so far.
 
-    def __init__(self):
-        self.k: Tensor | None = None
-        self.v: Tensor | None = None
+    Both live in (B, capacity, d) arrays, allocated on the first ``extend``,
+    with the heads side by side on the last axis; the first ``length``
+    positions are filled.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self.length = 0
+        self.k: np.ndarray | None = None
+        self.v: np.ndarray | None = None
 
     def extend(self, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Append the new positions' keys and values; return all of them."""
-        if self.k is not None:
-            k = T.concat([self.k, k], axis=2)
-            v = T.concat([self.v, v], axis=2)
-        self.k, self.v = k, v
-        return k, v
+        """Write the new positions' keys and values in place; return views of all of them."""
+        batch, t, dim = k.shape
+        end = self.length + t
+        if end > self.capacity:
+            raise ValueError(f"K/V cache overflow: {end} positions > capacity {self.capacity}")
+        if self.k is None:
+            self.k = np.empty((batch, self.capacity, dim))
+            self.v = np.empty((batch, self.capacity, dim))
+        self.k[:, self.length:end] = k.data
+        self.v[:, self.length:end] = v.data
+        self.length = end
+        return Tensor(self.k[:, :end]), Tensor(self.v[:, :end])
 
 
 class MultiHeadAttention:
@@ -103,32 +116,20 @@ class MultiHeadAttention:
     def __init__(self, rng: np.random.Generator, dim: int, n_heads: int):
         if dim % n_heads != 0:
             raise ValueError("attention dim must divide evenly into heads")
-        self.dim = dim
         self.n_heads = n_heads
-        self.head_dim = dim // n_heads
         self.wq = Linear(rng, dim, dim)
         self.wk = Linear(rng, dim, dim)
         self.wv = Linear(rng, dim, dim)
         self.wo = Linear(rng, dim, dim)
 
-    def _split(self, x: Tensor, batch: int, t: int) -> Tensor:
-        return T.transpose(T.reshape(x, (batch, t, self.n_heads, self.head_dim)), (0, 2, 1, 3))
-
     def __call__(self, x: Tensor, mask: np.ndarray | None = None,
                  cache: KVCache | None = None) -> Tensor:
         if cache is not None and T.grad_enabled():
             raise ValueError("a K/V cache is for inference only; run it under no_grad")
-        batch, t, _ = x.shape
-        q = self._split(self.wq(x), batch, t)
-        k = self._split(self.wk(x), batch, t)
-        v = self._split(self.wv(x), batch, t)
+        q, k, v = self.wq(x), self.wk(x), self.wv(x)
         if cache is not None:
             k, v = cache.extend(k, v)
-        scores = T.mul(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(self.head_dim))
-        attn = T.softmax(scores, axis=-1, mask=mask)
-        mixed = T.matmul(attn, v)
-        merged = T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (batch, t, self.dim))
-        return self.wo(merged)
+        return self.wo(T.attention(q, k, v, self.n_heads, mask))
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}

@@ -217,10 +217,10 @@ class SerialModel:
         p_nt: list[np.ndarray | None] = [None] * batch
         states = np.zeros((batch, max_len, self.cfg.dec_dim))
         running = np.ones(batch, dtype=bool)
+        total = a_len + len(prompt) + max_len
         with T.no_grad():
-            cache = DecoderCache([KVCache() for _ in self.dec_layers],
-                                 sinusoidal_positions(a_len + len(prompt) + max_len,
-                                                      self.cfg.dec_dim),
+            cache = DecoderCache([KVCache(total) for _ in self.dec_layers],
+                                 sinusoidal_positions(total, self.cfg.dec_dim),
                                  np.zeros((batch, 0), dtype=bool))
             ids = np.tile(np.asarray(prompt, dtype=np.int64), (batch, 1))
             last = self.decode_hidden(audio_prefix, audio_mask, ids,

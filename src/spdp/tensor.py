@@ -78,9 +78,11 @@ class Tensor:
 
     # -- graph machinery ----------------------------------------------------
 
-    def _accum_grad(self, g: np.ndarray) -> None:
+    def _accum_grad(self, g: np.ndarray, fresh: bool = False) -> None:
+        """Add ``g`` to the gradient. A ``fresh`` array, one that nothing else
+        holds, becomes the gradient as it is instead of being copied."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
+            self.grad = g if fresh else np.array(g, dtype=np.float64)
         else:
             self.grad += g
 
@@ -279,14 +281,34 @@ def matmul(a, b) -> Tensor:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
             a._accum_grad(_unbroadcast(ga, a.data.shape))
         if b.requires_grad:
-            if b.ndim == 2:
-                # A shared weight: one 2-D product over every leading row of a.
-                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-            else:
-                gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
+            gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
             b._accum_grad(_unbroadcast(gb, b.data.shape))
 
     return _attach(out, (a, b), bw)
+
+
+def linear(x, w, b) -> Tensor:
+    """Affine map ``x @ w + b`` of the last axis as one graph node.
+
+    ``w`` is (d_in, d_out) and ``b`` is (d_out,); ``x`` may have any number
+    of leading axes, which all share the one weight.
+    """
+    x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
+    if w.ndim != 2 or b.shape != (w.shape[1],) or x.shape[-1:] != w.shape[:1]:
+        raise ValueError("linear needs x (..., d_in), w (d_in, d_out) and b (d_out,)")
+    out = Tensor(np.matmul(x.data, w.data) + b.data)
+
+    def bw(g):
+        if b.requires_grad:
+            b._accum_grad(_unbroadcast(g, b.data.shape))
+        if w.requires_grad:
+            # One 2-D product over every leading row of x.
+            w._accum_grad(x.data.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1]),
+                          fresh=True)
+        if x.requires_grad:
+            x._accum_grad(np.matmul(g, w.data.T), fresh=True)
+
+    return _attach(out, (x, w, b), bw)
 
 
 # -- elementwise functions ----------------------------------------------------
@@ -501,6 +523,52 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     return _attach(out, (a,), bw)
 
 
+# -- multi-head attention ------------------------------------------------------
+
+
+def attention(q, k, v, n_heads: int, mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention as one graph node.
+
+    ``q`` is (B, T, d) and ``k``, ``v`` are (B, T_k, d), each the heads side
+    by side on the last axis; the output is (B, T, d) in the same layout.
+    ``mask`` is additive (0 or -inf), ungraded, and broadcastable to the
+    (B, H, T, T_k) score block. The backward starts from the saved
+    probabilities P: dV = P^T dO, dP = dO V^T, dS = P * (dP - rowsum(dP * P)).
+    """
+    q, k, v = as_tensor(q), as_tensor(k), as_tensor(v)
+    batch, t, dim = q.shape
+    t_k = k.shape[1]
+    if k.shape != (batch, t_k, dim) or v.shape != k.shape or dim % n_heads != 0:
+        raise ValueError("attention needs q (B, T, d), k and v (B, T_k, d), and H dividing d")
+    head_dim = dim // n_heads
+    scale = 1.0 / math.sqrt(head_dim)
+
+    def split(x: np.ndarray, length: int) -> np.ndarray:
+        return x.reshape(batch, length, n_heads, head_dim).transpose(0, 2, 1, 3)
+
+    qh, kh, vh = split(q.data, t), split(k.data, t_k), split(v.data, t_k)
+    z = _masked_input(np.matmul(qh, np.swapaxes(kh, -1, -2)) * scale, -1, mask)
+    e = np.exp(z)
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = Tensor(np.matmul(p, vh).transpose(0, 2, 1, 3).reshape(batch, t, dim))
+
+    def bw(g):
+        go = split(g, t)
+        if v.requires_grad:
+            v._accum_grad(np.matmul(np.swapaxes(p, -1, -2), go)
+                          .transpose(0, 2, 1, 3).reshape(batch, t_k, dim), fresh=True)
+        dp = np.matmul(go, np.swapaxes(vh, -1, -2))
+        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+        if q.requires_grad:
+            q._accum_grad(np.matmul(ds, kh).transpose(0, 2, 1, 3).reshape(batch, t, dim),
+                          fresh=True)
+        if k.requires_grad:
+            k._accum_grad(np.matmul(np.swapaxes(qh, -1, -2), ds)
+                          .transpose(0, 3, 1, 2).reshape(batch, t_k, dim), fresh=True)
+
+    return _attach(out, (q, k, v), bw)
+
+
 # -- layer normalization -------------------------------------------------------
 
 
@@ -550,7 +618,9 @@ def token_cross_entropy(logits, targets: np.ndarray, loss_mask: np.ndarray) -> T
     """Mean negative log-likelihood over positions where ``loss_mask`` is set.
 
     ``logits`` is (..., V); ``targets`` and ``loss_mask`` cover the leading
-    axes. Padding positions are excluded from the mean.
+    axes. Padding positions are excluded from the mean: only the supervised
+    rows are normalised, and only they receive gradient,
+    (softmax - onehot) * g / count.
     """
     logits = as_tensor(logits)
     targets = np.asarray(targets, dtype=np.int64)
@@ -562,9 +632,22 @@ def token_cross_entropy(logits, targets: np.ndarray, loss_mask: np.ndarray) -> T
     active = targets[loss_mask]
     if active.min() < 0 or active.max() >= vocab:
         raise ValueError("target index out of range")
-    lp = log_softmax(logits, axis=-1)
-    picked = take(lp, np.nonzero(loss_mask) + (active,))
-    return div(neg(tsum(picked)), float(count))
+    rows = np.nonzero(loss_mask)
+    z = _masked_input(logits.data[rows], -1, None)
+    lp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    picked = np.arange(count), active
+    out = Tensor(-lp[picked].sum() / float(count))
+
+    def bw(g):
+        c = g / float(count)
+        d = np.exp(lp) * c
+        d[picked] -= c
+        # Accumulate straight into the supervised rows of the gradient.
+        if logits.grad is None:
+            logits.grad = np.zeros_like(logits.data)
+        logits.grad[rows] += d
+
+    return _attach(out, (logits,), bw)
 
 
 def class_nll(log_probs, targets: np.ndarray) -> Tensor:

@@ -242,6 +242,31 @@ def test_eval_missing_checkpoint_is_data_error(workspace, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command, key, message", [
+    ("train", "manifest", "manifest file not found"),
+    ("eval", "frames", "frames file not found"),
+    ("train", "vocab_file", "vocab file not found"),
+    ("train", "--resume", "resume checkpoint not found"),
+    ("eval", "--checkpoint", "checkpoint not found"),
+    ("predict", "--checkpoint", "checkpoint not found"),
+])
+def test_path_that_is_a_directory_is_data_error(workspace, tmp_path, capsys,
+                                                command, key, message):
+    lines = workspace["cfg"].read_text().splitlines()
+    argv = [command, "--out", str(tmp_path / "out")]
+    if key.startswith("--"):
+        argv += [key, str(tmp_path)]
+    else:
+        lines = [line for line in lines if not line.startswith(f"{key} =")]
+        lines.append(f"{key} = {tmp_path}")
+    if command != "train" and key != "--checkpoint":
+        argv += ["--checkpoint", str(workspace["run"] / "ckpt-epoch-1.spdp")]
+    cfg = tmp_path / "dir.cfg"
+    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(argv + ["--config", str(cfg)]) == EXIT_DATA
+    assert f"{message}: {tmp_path}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("damage, message", [
     ("drop_tensor", "checkpoint missing tensor 'parallel.sub_a.w'"),
     ("version_1", "unsupported checkpoint version 1"),

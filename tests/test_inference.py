@@ -192,7 +192,7 @@ def test_cached_decode_matches_full_decode_on_every_position(trained):
     ids = np.asarray([prompt + [10, 20, 30, 40]] * 3, dtype=np.int64)
     with T.no_grad():
         full = serial.decode_hidden(prefix, pmask, ids, np.ones(ids.shape, dtype=bool)).data
-        cache = DecoderCache([KVCache() for _ in serial.dec_layers],
+        cache = DecoderCache([KVCache(64) for _ in serial.dec_layers],
                              sinusoidal_positions(64, serial.cfg.dec_dim),
                              np.zeros((3, 0), dtype=bool))
         p = len(prompt)
@@ -211,11 +211,23 @@ def test_kv_cache_is_refused_with_gradients_on():
     layer = TransformerLayer(np.random.default_rng(0), 8, 2)
     x = T.Tensor(np.random.default_rng(1).normal(size=(1, 3, 8)))
     with pytest.raises(ValueError, match="no_grad"):
-        layer(x, cache=KVCache())
+        layer(x, cache=KVCache(5))
     with T.no_grad():
-        cache = KVCache()
+        cache = KVCache(5)
         layer(x, cache=cache)
-    assert cache.k.shape == (1, 2, 3, 4)
+    assert cache.k.shape == cache.v.shape == (1, 5, 8)
+    assert cache.length == 3
+
+
+def test_kv_cache_overflow_raises():
+    layer = TransformerLayer(np.random.default_rng(0), 8, 2)
+    x = T.Tensor(np.random.default_rng(1).normal(size=(1, 3, 8)))
+    cache = KVCache(4)
+    with T.no_grad():
+        layer(x, cache=cache)
+        with pytest.raises(ValueError, match="K/V cache overflow: 6 positions > capacity 4"):
+            layer(x, cache=cache)
+    assert cache.length == 3
 
 
 # -- predict and evaluate -------------------------------------------------------------------

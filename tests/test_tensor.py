@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from spdp import tensor as T
 from spdp.checkpoint import load_checkpoint, save_checkpoint
 from spdp.gradcheck import grad_check
+from spdp.layers import causal_mask, key_padding_mask
 from spdp.optim import AdamW
 from spdp.tensor import Tensor
 
@@ -179,6 +180,19 @@ def test_token_ce_target_out_of_range():
                               np.ones((1, 1), dtype=bool))
 
 
+def test_token_ce_gradient_matches_fd_and_skips_padding():
+    rng = np.random.default_rng(17)
+    logits = Tensor(rng.normal(size=(2, 3, 6)), requires_grad=True)
+    targets = rng.integers(0, 6, size=(2, 3))
+    mask = np.array([[True, False, True], [False, True, True]])
+
+    def loss():
+        return T.token_cross_entropy(logits, targets, mask)
+
+    assert grad_check(loss, {"logits": logits})["logits"] < 1e-6
+    assert (logits.grad[~mask] == 0.0).all()
+
+
 def test_token_ce_ignores_padding_targets():
     rng = np.random.default_rng(4)
     logits = rng.normal(size=(2, 3, 6))
@@ -215,6 +229,106 @@ def test_matmul_shared_weight_gradient_is_the_stacked_sum():
     stacked = np.matmul(np.swapaxes(a.data, -1, -2), g).sum(axis=(0, 1))
     npt.assert_allclose(w.grad, stacked, rtol=0, atol=1e-12)
     npt.assert_allclose(a.grad, g @ w.data.T, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (2, 3, 2, 5)])
+def test_linear_gradient_matches_fd(shape):
+    rng = np.random.default_rng(18)
+    x = Tensor(rng.normal(size=shape), requires_grad=True)
+    w = Tensor(rng.normal(size=(5, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=4), requires_grad=True)
+    g = rng.normal(size=shape[:-1] + (4,))
+
+    def loss():
+        return T.tsum(T.mul(T.linear(x, w, b), g))
+
+    report = grad_check(loss, {"x": x, "w": w, "b": b})
+    assert max(report.values()) < 1e-6
+
+
+def test_linear_forward_is_matmul_plus_bias_bit_for_bit():
+    rng = np.random.default_rng(19)
+    x, w, b = rng.normal(size=(3, 4, 5)), rng.normal(size=(5, 6)), rng.normal(size=6)
+    assert np.array_equal(T.linear(Tensor(x), Tensor(w), Tensor(b)).data,
+                          T.add(T.matmul(Tensor(x), Tensor(w)), Tensor(b)).data)
+
+
+def test_linear_shared_weight_gradient_is_the_stacked_sum():
+    rng = np.random.default_rng(15)
+    a = Tensor(rng.normal(size=(3, 4, 5, 6)), requires_grad=True)
+    w = Tensor(rng.normal(size=(6, 7)), requires_grad=True)
+    b = Tensor(rng.normal(size=7), requires_grad=True)
+    g = rng.normal(size=(3, 4, 5, 7))
+    T.tsum(T.mul(T.linear(a, w, b), g)).backward()
+    stacked = np.matmul(np.swapaxes(a.data, -1, -2), g).sum(axis=(0, 1))
+    npt.assert_allclose(w.grad, stacked, rtol=0, atol=1e-12)
+    npt.assert_allclose(a.grad, g @ w.data.T, rtol=0, atol=1e-12)
+    npt.assert_allclose(b.grad, g.sum(axis=(0, 1, 2)), rtol=0, atol=1e-12)
+
+
+# -- attention ------------------------------------------------------------------------
+
+
+def unfused_attention(q, k, v, n_heads, mask):
+    """The same attention as a chain of reshape/transpose/matmul/softmax nodes."""
+    batch, t, dim = q.shape
+    t_k, head_dim = k.shape[1], dim // n_heads
+
+    def split(x, length):
+        return T.transpose(T.reshape(x, (batch, length, n_heads, head_dim)), (0, 2, 1, 3))
+
+    scores = T.mul(T.matmul(split(q, t), T.transpose(split(k, t_k), (0, 1, 3, 2))),
+                   1.0 / math.sqrt(head_dim))
+    mixed = T.matmul(T.softmax(scores, axis=-1, mask=mask), split(v, t_k))
+    return T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (batch, t, dim))
+
+
+@pytest.mark.parametrize("t, t_k, mask", [
+    (4, 4, key_padding_mask(np.array([[1, 1, 1, 0], [1, 1, 0, 0]]))),
+    (3, 3, causal_mask(3)),
+    (2, 5, causal_mask(2, past=3) + key_padding_mask(np.array([[1, 0, 1, 1, 1],
+                                                               [1, 1, 1, 1, 0]]))),
+], ids=["key-padding", "causal", "cached-causal"])
+def test_attention_gradient_matches_fd(t, t_k, mask):
+    rng = np.random.default_rng(20)
+    q = Tensor(rng.normal(size=(2, t, 6)), requires_grad=True)
+    k = Tensor(rng.normal(size=(2, t_k, 6)), requires_grad=True)
+    v = Tensor(rng.normal(size=(2, t_k, 6)), requires_grad=True)
+    g = rng.normal(size=(2, t, 6))
+
+    def loss():
+        return T.tsum(T.mul(T.attention(q, k, v, 2, mask), g))
+
+    report = grad_check(loss, {"q": q, "k": k, "v": v})
+    assert max(report.values()) < 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 5), st.integers(1, 3),
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_attention_matches_the_unfused_composition(batch, t, t_k, n_heads, head_dim, seed):
+    rng = np.random.default_rng(seed)
+    dim = n_heads * head_dim
+    live = rng.random((batch, t, t_k)) < 0.6
+    live[np.arange(batch)[:, None], np.arange(t)[None, :],
+         rng.integers(0, t_k, size=(batch, t))] = True
+    mask = np.where(live, 0.0, -np.inf)[:, None]
+    *qkv, g = (rng.normal(size=(batch, n, dim)) for n in (t, t_k, t_k, t))
+    runs = []
+    for fn in (T.attention, unfused_attention):
+        inputs = [Tensor(a, requires_grad=True) for a in qkv]
+        out = fn(*inputs, n_heads, mask)
+        T.tsum(T.mul(out, g)).backward()
+        runs.append([out.data] + [x.grad for x in inputs])
+    for fused, plain in zip(*runs):
+        npt.assert_allclose(fused, plain, rtol=0, atol=1e-12)
+
+
+def test_attention_fully_masked_row_raises():
+    x = Tensor(np.ones((1, 2, 4)))
+    mask = np.array([[0.0, 0.0], [-np.inf, -np.inf]])[None, None]
+    with pytest.raises(ValueError, match="empty softmax support"):
+        T.attention(x, x, x, 2, mask)
 
 
 def test_take_repeated_advanced_indices_accumulate():

@@ -5,6 +5,7 @@ import pytest
 
 from spdp.config import RunConfig
 from spdp.corpus import generate_corpus
+from spdp.fusion import total_loss
 from spdp.trainer import SpdpModel, _epoch_rng, train
 
 
@@ -84,3 +85,21 @@ def test_train_reports_infinite_loss_with_batch_ids(tmp_path, monkeypatch):
     with pytest.raises(FloatingPointError, match="batch ids") as exc:
         train(model, [u for u in utts if u.split == "train"], tmp_path)
     assert "utt-" in str(exc.value)
+
+
+def graph_nodes(root) -> list:
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    return list(seen.values())
+
+
+def test_desk_dims_train_step_has_at_most_210_backward_nodes():
+    cfg = RunConfig()
+    model = SpdpModel(cfg)
+    l_s, l_p = model.batch_losses(*batch_for(model, b=4))
+    nodes = graph_nodes(total_loss(l_s, l_p, cfg.fusion_config()))
+    assert sum(node._backward is not None for node in nodes) <= 210
