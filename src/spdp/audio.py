@@ -207,11 +207,16 @@ def save_wav(path: str | Path, waveform: np.ndarray, sample_rate: int = 16000) -
 
 
 def load_wav(path: str | Path) -> tuple[np.ndarray, int]:
-    with wave.open(str(path), "rb") as fh:
-        if fh.getnchannels() != 1 or fh.getsampwidth() != 2:
-            raise ValueError("expected 16-bit mono WAV")
-        sr = fh.getframerate()
-        pcm = np.frombuffer(fh.readframes(fh.getnframes()), dtype="<i2")
+    """Samples scaled to [-1, 1] and the rate; a file that is not a RIFF WAV
+    is a ValueError naming it."""
+    try:
+        with wave.open(str(path), "rb") as fh:
+            if fh.getnchannels() != 1 or fh.getsampwidth() != 2:
+                raise ValueError("expected 16-bit mono WAV")
+            sr = fh.getframerate()
+            pcm = np.frombuffer(fh.readframes(fh.getnframes()), dtype="<i2")
+    except wave.Error as err:
+        raise ValueError(f"{path}: not a WAV file: {err}") from err
     return pcm.astype(np.float64) / 32767.0, sr
 
 

@@ -243,6 +243,8 @@ def cmd_filter(args: argparse.Namespace) -> int:
     wav_dir = Path(args.wav_dir)
     if not wav_dir.is_dir():
         raise DataError(f"not a directory: {wav_dir}")
+    if args.truth and not Path(args.truth).is_file():
+        raise DataError(f"truth file not found: {args.truth}")
     paths = sorted(wav_dir.glob("*.wav"))
     if not paths:
         raise DataError(f"no WAV files in {wav_dir}")

@@ -123,6 +123,32 @@ def save_corpus(utts: list[Utterance], manifest_path: str | Path,
             }) + "\n")
 
 
+# Keys of a manifest record and the type of each value; frames_offset is
+# checked against the sidecar's block grid instead.
+MANIFEST_TYPES = {"id": str, "style": int, "transcript": list, "split": str,
+                  "frames_offset": None}
+
+
+def _manifest_record(line: str, where: str) -> dict:
+    """One manifest line, checked to hold every key with a value of its type."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as err:
+        raise ValueError(f"{where}: not JSON: {err}") from None
+    if not isinstance(rec, dict):
+        raise ValueError(f"{where}: not a JSON object")
+    for key, kind in MANIFEST_TYPES.items():
+        if key not in rec:
+            raise ValueError(f"{where}: manifest record lacks {key!r}")
+        if kind is not None and type(rec[key]) is not kind:
+            raise ValueError(f"{where}: {key!r} must be a {kind.__name__}, not {rec[key]!r}")
+    if any(type(t) is not int for t in rec["transcript"]):
+        raise ValueError(f"{where}: 'transcript' must hold integer token ids")
+    if not 0 <= rec["style"] < N_CLASSES:
+        raise ValueError(f"{where}: 'style' {rec['style']} is not a class 0..{N_CLASSES - 1}")
+    return rec
+
+
 def load_corpus(manifest_path: str | Path, frames_path: str | Path) -> list[Utterance]:
     with open(frames_path, "rb") as fh:
         blob = fh.read()
@@ -134,11 +160,11 @@ def load_corpus(manifest_path: str | Path, frames_path: str | Path) -> list[Utte
     block = 8 * t0 * feat_dim
     utts: list[Utterance] = []
     with open(manifest_path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            rec = _manifest_record(line, f"{manifest_path} line {lineno}")
             offset = rec["frames_offset"]
             if (type(offset) is not int or block == 0
                     or offset not in range(header, header + count * block, block)):
@@ -152,8 +178,8 @@ def load_corpus(manifest_path: str | Path, frames_path: str | Path) -> list[Utte
             utts.append(Utterance(
                 id=rec["id"],
                 frames=frames.astype(np.float64),
-                transcript=[int(t) for t in rec["transcript"]],
-                gold_style=int(rec["style"]),
+                transcript=rec["transcript"],
+                gold_style=rec["style"],
                 split=rec["split"],
             ))
     if len(utts) != count:

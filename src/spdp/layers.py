@@ -2,8 +2,8 @@
 
 Initialization convention (applied uniformly): projection weights are drawn
 uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)), biases start at zero, and norm
-affines start at gamma=1, beta=0. Every block exposes ``params(prefix)``
-returning its named tensors for the optimizer and checkpointing.
+affines start at gamma=1, beta=0. Every block is a ``Module``, whose
+``params`` names its tensors for the optimizer and checkpointing.
 """
 
 from __future__ import annotations
@@ -21,7 +21,31 @@ def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int)
     return Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
 
 
-class Linear:
+class Module:
+    """A block whose parameters are the tensors its attributes hold.
+
+    ``params`` walks ``vars(self)`` in assignment order. A ``Tensor``
+    attribute is named ``prefix.attr``; a ``Module`` recurses under that
+    name, and a list of them under ``prefix.attr.i``. Anything else is not
+    a parameter. These names are the checkpoint record names.
+    """
+
+    def params(self, prefix: str = "") -> dict[str, Tensor]:
+        out: dict[str, Tensor] = {}
+        for attr, value in vars(self).items():
+            name = f"{prefix}.{attr}" if prefix else attr
+            if isinstance(value, Tensor):
+                out[name] = value
+            elif isinstance(value, Module):
+                out.update(value.params(name))
+            elif isinstance(value, list):
+                for i, item in enumerate(value):
+                    if isinstance(item, Module):
+                        out.update(item.params(f"{name}.{i}"))
+        return out
+
+
+class Linear(Module):
     def __init__(self, rng: np.random.Generator, d_in: int, d_out: int):
         self.w = _uniform_init(rng, (d_in, d_out), d_in)
         self.b = Tensor(np.zeros(d_out), requires_grad=True)
@@ -29,11 +53,8 @@ class Linear:
     def __call__(self, x: Tensor) -> Tensor:
         return T.linear(x, self.w, self.b)
 
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
 
-
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, dim: int, eps: float = 1e-5):
         self.gamma = Tensor(np.ones(dim), requires_grad=True)
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
@@ -42,22 +63,16 @@ class LayerNorm:
     def __call__(self, x: Tensor) -> Tensor:
         return T.layer_norm(x, self.gamma, self.beta, eps=self.eps)
 
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.gamma": self.gamma, f"{prefix}.beta": self.beta}
 
-
-class Embedding:
+class Embedding(Module):
     def __init__(self, rng: np.random.Generator, n_rows: int, dim: int):
         self.table = _uniform_init(rng, (n_rows, dim), dim)
 
     def __call__(self, ids: np.ndarray) -> Tensor:
         return T.embedding(self.table, ids)
 
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.table": self.table}
 
-
-class Conv1d:
+class Conv1d(Module):
     """Temporal conv over (B, T, C_in); kernel 3, padding 1 keeps ceil(T/stride)."""
 
     def __init__(self, rng: np.random.Generator, c_in: int, c_out: int,
@@ -69,9 +84,6 @@ class Conv1d:
 
     def __call__(self, x: Tensor) -> Tensor:
         return T.conv1d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        return {f"{prefix}.weight": self.weight, f"{prefix}.bias": self.bias}
 
 
 class KVCache:
@@ -103,7 +115,7 @@ class KVCache:
         return Tensor(self.k[:, :end]), Tensor(self.v[:, :end])
 
 
-class MultiHeadAttention:
+class MultiHeadAttention(Module):
     """Standard scaled dot-product attention with an additive mask.
 
     The mask is a plain ndarray of 0 / -inf entries broadcastable to the
@@ -131,16 +143,8 @@ class MultiHeadAttention:
             k, v = cache.extend(k, v)
         return self.wo(T.attention(q, k, v, self.n_heads, mask))
 
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        out.update(self.wq.params(f"{prefix}.wq"))
-        out.update(self.wk.params(f"{prefix}.wk"))
-        out.update(self.wv.params(f"{prefix}.wv"))
-        out.update(self.wo.params(f"{prefix}.wo"))
-        return out
 
-
-class TransformerLayer:
+class TransformerLayer(Module):
     """Pre-norm block: x + attn(LN(x)), then x + ffn(LN(x))."""
 
     def __init__(self, rng: np.random.Generator, dim: int, n_heads: int, ffn_mult: int = 4):
@@ -154,15 +158,6 @@ class TransformerLayer:
                  cache: KVCache | None = None) -> Tensor:
         x = T.add(x, self.attn(self.ln1(x), mask=mask, cache=cache))
         return T.add(x, self.fc2(T.gelu(self.fc1(self.ln2(x)))))
-
-    def params(self, prefix: str) -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        out.update(self.ln1.params(f"{prefix}.ln1"))
-        out.update(self.attn.params(f"{prefix}.attn"))
-        out.update(self.ln2.params(f"{prefix}.ln2"))
-        out.update(self.fc1.params(f"{prefix}.fc1"))
-        out.update(self.fc2.params(f"{prefix}.fc2"))
-        return out
 
 
 def sinusoidal_positions(length: int, dim: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .layers import (Linear, LayerNorm, TransformerLayer, key_padding_mask,
+from .layers import (Linear, LayerNorm, Module, TransformerLayer, key_padding_mask,
                      sinusoidal_positions)
 from .tensor import Tensor
 
@@ -54,7 +54,7 @@ class ParallelPathOutput:
     attention_weights: np.ndarray  # (B, T, S)
 
 
-class ParallelPathModel:
+class ParallelPathModel(Module):
     def __init__(self, cfg: ParallelPathConfig, rng: np.random.Generator):
         cfg.validate()
         self.cfg = cfg
@@ -148,18 +148,3 @@ class ParallelPathModel:
 
     def loss(self, out: ParallelPathOutput, labels: np.ndarray) -> Tensor:
         return T.class_nll(out.log_probs, labels)
-
-    def params(self, prefix: str = "parallel") -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        out.update(self.proj_a.params(f"{prefix}.proj_a"))
-        out.update(self.norm_a.params(f"{prefix}.norm_a"))
-        out.update(self.proj_t.params(f"{prefix}.proj_t"))
-        out.update(self.norm_t.params(f"{prefix}.norm_t"))
-        out.update(self.sub_a.params(f"{prefix}.sub_a"))
-        out.update(self.sub_t.params(f"{prefix}.sub_t"))
-        out.update(self.proj_r.params(f"{prefix}.proj_r"))
-        for i, layer in enumerate(self.classifier):
-            out.update(layer.params(f"{prefix}.classifier.{i}"))
-        out.update(self.final_norm.params(f"{prefix}.final_norm"))
-        out.update(self.head.params(f"{prefix}.head"))
-        return out

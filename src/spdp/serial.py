@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .layers import (Conv1d, Embedding, KVCache, LayerNorm, Linear, TransformerLayer,
-                     causal_mask, key_padding_mask, sinusoidal_positions)
+from .layers import (Conv1d, Embedding, KVCache, LayerNorm, Linear, Module,
+                     TransformerLayer, causal_mask, key_padding_mask,
+                     sinusoidal_positions)
 from .tensor import Tensor
 from .vocab import EOS_ID, PAD_ID, STYLE_OPEN_ID
 
@@ -73,22 +74,22 @@ class DecoderCache:
     valid: np.ndarray                # (B, positions so far) key validity
 
 
-class SerialModel:
+class SerialModel(Module):
     def __init__(self, cfg: SerialConfig, rng: np.random.Generator):
         cfg.validate()
         self.cfg = cfg
         self.enc_conv1 = Conv1d(rng, cfg.feat_dim, cfg.enc_dim, stride=1)
         self.enc_conv2 = Conv1d(rng, cfg.enc_dim, cfg.enc_dim, stride=cfg.conv_downsample)
-        self.enc_layers = [TransformerLayer(rng, cfg.enc_dim, cfg.enc_heads, cfg.ffn_mult)
-                           for _ in range(cfg.enc_layers)]
+        self.enc = [TransformerLayer(rng, cfg.enc_dim, cfg.enc_heads, cfg.ffn_mult)
+                    for _ in range(cfg.enc_layers)]
         self.ad_conv1 = Conv1d(rng, cfg.enc_dim, cfg.dec_dim, stride=1)
         self.ad_conv2 = Conv1d(rng, cfg.dec_dim, cfg.dec_dim, stride=1)
         self.ad_conv3 = Conv1d(rng, cfg.dec_dim, cfg.dec_dim, stride=cfg.adaptor_downsample)
-        self.ad_layers = [TransformerLayer(rng, cfg.dec_dim, cfg.dec_heads, cfg.ffn_mult)
-                          for _ in range(cfg.adaptor_layers)]
+        self.ad = [TransformerLayer(rng, cfg.dec_dim, cfg.dec_heads, cfg.ffn_mult)
+                   for _ in range(cfg.adaptor_layers)]
         self.embed = Embedding(rng, cfg.vocab_size, cfg.dec_dim)
-        self.dec_layers = [TransformerLayer(rng, cfg.dec_dim, cfg.dec_heads, cfg.ffn_mult)
-                           for _ in range(cfg.dec_layers)]
+        self.dec = [TransformerLayer(rng, cfg.dec_dim, cfg.dec_heads, cfg.ffn_mult)
+                    for _ in range(cfg.dec_layers)]
         self.dec_norm = LayerNorm(cfg.dec_dim)
         self.head = Linear(rng, cfg.dec_dim, cfg.vocab_size)
 
@@ -110,7 +111,7 @@ class SerialModel:
         ds_mask = frame_mask[:, ::self.cfg.conv_downsample]
         attn_mask = key_padding_mask(ds_mask)
         taps: list[Tensor] = []
-        for depth, layer in enumerate(self.enc_layers, start=1):
+        for depth, layer in enumerate(self.enc, start=1):
             x = layer(x, mask=attn_mask)
             if depth in self.cfg.tap_layers:
                 taps.append(x)
@@ -125,7 +126,7 @@ class SerialModel:
         x = T.gelu(self.ad_conv3(x))
         ds_mask = np.asarray(mask, dtype=bool)[:, ::self.cfg.adaptor_downsample]
         attn_mask = key_padding_mask(ds_mask)
-        for layer in self.ad_layers:
+        for layer in self.ad:
             x = layer(x, mask=attn_mask)
         return x, ds_mask
 
@@ -156,7 +157,7 @@ class SerialModel:
             x = T.concat([audio_prefix, x], axis=1)
             valid = np.concatenate([audio_mask.astype(bool), valid], axis=1)
         total = past + x.shape[1]
-        layer_caches = [None] * len(self.dec_layers)
+        layer_caches = [None] * len(self.dec)
         if cache is None:
             table = sinusoidal_positions(total, self.cfg.dec_dim)
         else:
@@ -164,7 +165,7 @@ class SerialModel:
             valid = cache.valid = np.concatenate([cache.valid, valid], axis=1)
         x = T.add(x, table[past:total])
         mask = causal_mask(x.shape[1], past) + key_padding_mask(valid)
-        for layer, kv in zip(self.dec_layers, layer_caches):
+        for layer, kv in zip(self.dec, layer_caches):
             x = layer(x, mask=mask, cache=kv)
         x = self.dec_norm(x)
         return T.take(x, (slice(None), slice(a_len, total)))
@@ -219,7 +220,7 @@ class SerialModel:
         running = np.ones(batch, dtype=bool)
         total = a_len + len(prompt) + max_len
         with T.no_grad():
-            cache = DecoderCache([KVCache(total) for _ in self.dec_layers],
+            cache = DecoderCache([KVCache(total) for _ in self.dec],
                                  sinusoidal_positions(total, self.cfg.dec_dim),
                                  np.zeros((batch, 0), dtype=bool))
             ids = np.tile(np.asarray(prompt, dtype=np.int64), (batch, 1))
@@ -253,30 +254,6 @@ class SerialModel:
         emb_t = np.where(emb_t_mask[:, :, None], states[:, :lens.max()], 0.0)
         return GenerationResult(tokens=tokens, p_nt=p_nt, transcript=transcripts,
                                 flags=flags, emb_t=emb_t, emb_t_mask=emb_t_mask)
-
-    # -- parameter registry ----------------------------------------------------------
-
-    def encoder_params(self, prefix: str = "serial") -> dict[str, Tensor]:
-        out: dict[str, Tensor] = {}
-        out.update(self.enc_conv1.params(f"{prefix}.enc_conv1"))
-        out.update(self.enc_conv2.params(f"{prefix}.enc_conv2"))
-        for i, layer in enumerate(self.enc_layers):
-            out.update(layer.params(f"{prefix}.enc.{i}"))
-        return out
-
-    def params(self, prefix: str = "serial") -> dict[str, Tensor]:
-        out = self.encoder_params(prefix)
-        out.update(self.ad_conv1.params(f"{prefix}.ad_conv1"))
-        out.update(self.ad_conv2.params(f"{prefix}.ad_conv2"))
-        out.update(self.ad_conv3.params(f"{prefix}.ad_conv3"))
-        for i, layer in enumerate(self.ad_layers):
-            out.update(layer.params(f"{prefix}.ad.{i}"))
-        out.update(self.embed.params(f"{prefix}.embed"))
-        for i, layer in enumerate(self.dec_layers):
-            out.update(layer.params(f"{prefix}.dec.{i}"))
-        out.update(self.dec_norm.params(f"{prefix}.dec_norm"))
-        out.update(self.head.params(f"{prefix}.head"))
-        return out
 
 
 def _gather_transcript(hidden: Tensor, prompts: list[list[int]],

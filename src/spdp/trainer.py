@@ -23,6 +23,7 @@ from .config import RunConfig
 from .corpus import Utterance
 from .fusion import (NO_TERMINATION, PARALLEL_ONLY_FALLBACK, StyleMap,
                      predict, total_loss)
+from .layers import Module
 from .optim import AdamW
 from .parallel import ParallelPathModel
 from .serial import SerialModel
@@ -32,7 +33,7 @@ from .vocab import Vocab, build_vocab
 NO_LINGUISTIC_EVIDENCE = "NoLinguisticEvidence"
 
 
-class SpdpModel:
+class SpdpModel(Module):
     """Serial path + parallel path + vocabulary under one parameter registry."""
 
     def __init__(self, run_cfg: RunConfig, vocab: Vocab | None = None):
@@ -42,11 +43,6 @@ class SpdpModel:
         self.serial = SerialModel(run_cfg.serial_config(len(self.vocab)), rng)
         self.parallel = ParallelPathModel(run_cfg.parallel_config(), rng)
         self.style_map = StyleMap(self.vocab)
-
-    def params(self) -> dict[str, Tensor]:
-        out = self.serial.params()
-        out.update(self.parallel.params())
-        return out
 
     def trainable_params(self) -> dict[str, Tensor]:
         return self.params()

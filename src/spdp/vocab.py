@@ -85,7 +85,10 @@ class Vocab:
         return len(self.id_to_token)
 
     def encode(self, words) -> list[int]:
-        return [self.token_to_id[w] for w in words]
+        try:
+            return [self.token_to_id[w] for w in words]
+        except KeyError as err:
+            raise ValueError(f"vocabulary has no token {err.args[0]!r}") from None
 
     def decode(self, ids) -> list[str]:
         return [self.id_to_token[int(i)] for i in ids]

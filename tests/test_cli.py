@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shutil
 import struct
 
 import numpy as np
@@ -333,6 +334,44 @@ def test_train_nan_loss_is_numeric_failure(workspace, tmp_path, capsys):
     assert "loss is NaN" in capsys.readouterr().err
 
 
+MANIFEST_KEYS = ["id", "style", "transcript", "split", "frames_offset"]
+
+
+@pytest.mark.parametrize("key, value", [(key, None) for key in MANIFEST_KEYS]
+                         + [("transcript", 5), ("style", 8)])
+def test_train_on_a_malformed_manifest_record_is_data_error(workspace, tmp_path, capsys,
+                                                            key, value):
+    lines = (workspace["data"] / "manifest.jsonl").read_text().splitlines()
+    rec = json.loads(lines[2])
+    if value is None:
+        del rec[key]
+    else:
+        rec[key] = value
+    lines[2] = json.dumps(rec)
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(workspace["cfg"].read_text().replace(
+        f"manifest = {workspace['data']}/manifest.jsonl", f"manifest = {manifest}"),
+        encoding="utf-8")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "manifest.jsonl line 3: " in err and repr(key) in err
+
+
+def test_train_on_a_vocab_file_cut_at_a_line_boundary_is_data_error(workspace, tmp_path,
+                                                                    capsys):
+    vocab = tmp_path / "vocab.tsv"
+    lines = (workspace["data"] / "vocab.tsv").read_text().splitlines(keepends=True)
+    vocab.write_text("".join(lines[:10]), encoding="utf-8")
+    cfg = tmp_path / "cut.cfg"
+    cfg.write_text(workspace["cfg"].read_text().replace(
+        f"vocab_file = {workspace['data']}/vocab.tsv", f"vocab_file = {vocab}"),
+        encoding="utf-8")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == EXIT_DATA
+    assert "vocabulary has no token 'fairy'" in capsys.readouterr().err
+
+
 # -- filter -----------------------------------------------------------------------------------
 
 
@@ -351,6 +390,27 @@ def test_filter_pipeline_counts(workspace, capsys):
     for line in curated:
         rec = json.loads(line)
         assert set(rec) == {"file", "label"} and 0 <= rec["label"] < 8
+
+
+def test_filter_skips_a_wav_file_that_is_not_riff(workspace, tmp_path, capsys):
+    wav_dir = tmp_path / "wav"
+    shutil.copytree(workspace["data"] / "wav", wav_dir)
+    (wav_dir / "bogus.wav").write_text("not a wav", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["filter", "--wav-dir", str(wav_dir), "--out", str(out)]) == EXIT_OK
+    assert "warning: skipping bogus.wav: " in capsys.readouterr().err
+    counts = json.loads((out / "filter_counts.json").read_text())
+    assert counts["skipped"] == 1 and counts["total"] == 21 and counts["readable"] == 20
+
+
+@pytest.mark.parametrize("truth", ["missing.json", "."])
+def test_filter_truth_that_is_not_a_file_is_data_error(workspace, tmp_path, capsys, truth):
+    out = tmp_path / "out"
+    truth = tmp_path / truth
+    assert main(["filter", "--wav-dir", str(workspace["data"] / "wav"), "--out", str(out),
+                 "--truth", str(truth)]) == EXIT_DATA
+    assert f"truth file not found: {truth}" in capsys.readouterr().err
+    assert not (out / "curated.jsonl").exists()
 
 
 def test_filter_empty_directory_is_data_error(tmp_path, capsys):

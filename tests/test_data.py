@@ -119,6 +119,22 @@ def test_corpus_load_rejects_offset_off_the_block_grid(tmp_path, kind):
         load_corpus(manifest, frames)
 
 
+@pytest.mark.parametrize("line, message", [
+    ("{not json", "not JSON"),
+    ("[1, 2]", "not a JSON object"),
+    ('{"id": 7}', "'id' must be a str"),
+])
+def test_corpus_load_names_the_line_of_a_malformed_record(tmp_path, line, message):
+    utts = generate_corpus(CorpusConfig(n_per_class=4, seed=6), VOCAB)
+    manifest, frames = tmp_path / "manifest.jsonl", tmp_path / "frames.bin"
+    save_corpus(utts, manifest, frames)
+    lines = manifest.read_text().splitlines()
+    lines[4] = line
+    manifest.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"manifest.jsonl line 5: {message}"):
+        load_corpus(manifest, frames)
+
+
 # -- acoustic features ----------------------------------------------------------------
 
 

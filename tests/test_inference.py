@@ -192,7 +192,7 @@ def test_cached_decode_matches_full_decode_on_every_position(trained):
     ids = np.asarray([prompt + [10, 20, 30, 40]] * 3, dtype=np.int64)
     with T.no_grad():
         full = serial.decode_hidden(prefix, pmask, ids, np.ones(ids.shape, dtype=bool)).data
-        cache = DecoderCache([KVCache(64) for _ in serial.dec_layers],
+        cache = DecoderCache([KVCache(64) for _ in serial.dec],
                              sinusoidal_positions(64, serial.cfg.dec_dim),
                              np.zeros((3, 0), dtype=bool))
         p = len(prompt)

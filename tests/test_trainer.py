@@ -1,5 +1,7 @@
 """Unit tests for the joint model bundle and training-loop guards."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -28,8 +30,8 @@ def batch_for(model, seed=0, b=2):
 
 
 def encoder_grad_norm(model) -> float:
-    return sum(float(np.abs(p.grad).sum()) for p in
-               model.serial.encoder_params().values() if p.grad is not None)
+    return sum(float(np.abs(p.grad).sum()) for name, p in model.params().items()
+               if name.startswith("serial.enc") and p.grad is not None)
 
 
 def test_parallel_loss_reaches_the_encoder():
@@ -103,3 +105,25 @@ def test_desk_dims_train_step_has_at_most_210_backward_nodes():
     l_s, l_p = model.batch_losses(*batch_for(model, b=4))
     nodes = graph_nodes(total_loss(l_s, l_p, cfg.fusion_config()))
     assert sum(node._backward is not None for node in nodes) <= 210
+
+
+def test_checkpoint_name_table_is_pinned():
+    """Record names, shapes and order of a default checkpoint (format version 2)."""
+    params = SpdpModel(RunConfig()).params()
+    table = "\n".join(f"{name} {tuple(t.shape)}" for name, t in params.items())
+    assert len(params) == 225
+    assert sum(t.size for t in params.values()) == 379_865
+    assert hashlib.sha256(table.encode()).hexdigest() == \
+        "b9f4892d603fec93554781d8d3dc724b6d59e99addfdf1e0822022946ff6d57a"
+
+
+def test_params_hold_every_trained_leaf_once():
+    model = SpdpModel(small_run_config())
+    l_s, l_p = model.batch_losses(*batch_for(model))
+    loss = total_loss(l_s, l_p, model.run_cfg.fusion_config())
+    loss.backward()
+    named = [id(t) for t in model.params().values()]
+    assert len(set(named)) == len(named)
+    leaves = {id(node) for node in graph_nodes(loss)
+              if node.requires_grad and not node._parents}
+    assert leaves == set(named)
