@@ -17,6 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .vocab import N_CLASSES
+
 TERTILE_CUT = 0.4307  # z-score with Phi(z) = 2/3: equal-mass tertiles
 PITCH_MIN_HZ = 60.0
 PITCH_MAX_HZ = 400.0
@@ -173,7 +175,7 @@ def filter_high_expressivity(fv: FeatureVector5, bins: BinThresholds) -> bool:
 
 def annotate_intersect(label_a: int, label_b: int) -> int | None:
     for lbl in (label_a, label_b):
-        if not 0 <= lbl < 8:
+        if not 0 <= lbl < N_CLASSES:
             raise ValueError("style label out of range")
     return label_a if label_a == label_b else None
 

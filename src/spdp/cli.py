@@ -25,7 +25,7 @@ from .fusion import total_loss
 from .gradcheck import grad_check
 from .trainer import (NO_LINGUISTIC_EVIDENCE, SpdpModel, evaluate, resume_from,
                       train, write_confusion_csv)
-from .vocab import Vocab, build_vocab
+from .vocab import N_CLASSES, Vocab, build_vocab
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -173,6 +173,11 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
     utts = _require_corpus(cfg)
     vocab = _load_vocab(cfg)
+    for u in utts:
+        bad = [t for t in u.transcript if not 0 <= t < len(vocab)]
+        if bad:
+            raise DataError(f"utterance {u.id}: token id {bad[0]} is outside the "
+                            f"vocabulary 0..{len(vocab) - 1}")
     model = SpdpModel(cfg, vocab)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -243,8 +248,17 @@ def cmd_filter(args: argparse.Namespace) -> int:
     wav_dir = Path(args.wav_dir)
     if not wav_dir.is_dir():
         raise DataError(f"not a directory: {wav_dir}")
-    if args.truth and not Path(args.truth).is_file():
-        raise DataError(f"truth file not found: {args.truth}")
+    planted = None
+    if args.truth:
+        if not Path(args.truth).is_file():
+            raise DataError(f"truth file not found: {args.truth}")
+        try:
+            truth = json.loads(Path(args.truth).read_text(encoding="utf-8"))
+        except ValueError as err:
+            raise DataError(f"--truth {args.truth}: not valid JSON: {err}") from err
+        if not isinstance(truth, dict):
+            raise DataError(f"--truth {args.truth}: expected a JSON object of filename: planted")
+        planted = {k for k, v in truth.items() if v}
     paths = sorted(wav_dir.glob("*.wav"))
     if not paths:
         raise DataError(f"no WAV files in {wav_dir}")
@@ -263,10 +277,11 @@ def cmd_filter(args: argparse.Namespace) -> int:
     kept = [(name, fv) for name, fv in zip(names, features)
             if filter_high_expressivity(fv, bins)]
     rng = np.random.default_rng(cfg.seed)
-    confusion = np.full((8, 8), 0.2 / 7.0) + np.eye(8) * (0.8 - 0.2 / 7.0)
+    off = 0.2 / (N_CLASSES - 1)
+    confusion = np.full((N_CLASSES, N_CLASSES), off) + np.eye(N_CLASSES) * (0.8 - off)
     retained = []
     for name, _ in kept:
-        gold = int(hashlib.sha256(name.encode()).digest()[0]) % 8
+        gold = int(hashlib.sha256(name.encode()).digest()[0]) % N_CLASSES
         a = sample_confused_label(gold, confusion, rng)
         b = sample_confused_label(gold, confusion, rng)
         label = annotate_intersect(a, b)
@@ -277,27 +292,24 @@ def cmd_filter(args: argparse.Namespace) -> int:
     counts = {"total": len(paths), "readable": len(features),
               "filtered": len(kept), "retained": len(retained),
               "skipped": skipped}
+    line = (f"filter: {counts['total']} total -> {counts['readable']} readable -> "
+            f"{counts['filtered']} high-expressivity -> {counts['retained']} retained")
+    if planted is not None:
+        hits = sum(1 for name, _ in kept if name in planted)
+        counts["planted_recall"] = hits / len(planted) if planted else 0.0
+        line += f"; planted recall {counts['planted_recall']:.3f}"
     with open(out / "curated.jsonl", "w", encoding="utf-8") as fh:
         for rec in retained:
             fh.write(json.dumps(rec) + "\n")
     (out / "filter_counts.json").write_text(json.dumps(counts, indent=2),
                                             encoding="utf-8")
-    line = (f"filter: {counts['total']} total -> {counts['readable']} readable -> "
-            f"{counts['filtered']} high-expressivity -> {counts['retained']} retained")
-    if args.truth:
-        truth = json.loads(Path(args.truth).read_text(encoding="utf-8"))
-        planted = {k for k, v in truth.items() if v}
-        hits = sum(1 for name, _ in kept if name in planted)
-        recall = hits / len(planted) if planted else 0.0
-        counts["planted_recall"] = recall
-        (out / "filter_counts.json").write_text(json.dumps(counts, indent=2),
-                                                encoding="utf-8")
-        line += f"; planted recall {recall:.3f}"
     print(line)
     return EXIT_OK
 
 
 def cmd_gradcheck(args: argparse.Namespace) -> int:
+    if args.coords < 1:
+        raise UsageError(f"--coords must be >= 1, got {args.coords}")
     args.profile = "desk-dims"      # finite differences are affordable only here
     cfg = _load_run_config(args)
     model = SpdpModel(cfg)

@@ -15,13 +15,13 @@ from pathlib import Path
 from .corpus import CorpusConfig
 from .fusion import FusionConfig
 from .parallel import ParallelPathConfig
-from .serial import SerialConfig
+from .serial import ENC_LAYERS, SerialConfig
 
 
 @dataclass
 class RunConfig:
-    """Every user-settable key. The rest of the model's shape is fixed at the
-    defaults of CorpusConfig, SerialConfig and ParallelPathConfig."""
+    """Every user-settable key. The rest of the model's shape is fixed by
+    named constants in the modules that own it (see the README)."""
 
     profile: str = "desk-dims"
     seed: int = 0
@@ -77,7 +77,7 @@ class RunConfig:
 
     def parallel_config(self) -> ParallelPathConfig:
         return ParallelPathConfig(
-            emb_a_dim=3 * self.enc_dim,
+            emb_a_dim=ENC_LAYERS * self.enc_dim,
             emb_t_dim=self.dec_dim,
             d_shared=self.d_shared,
             n_subspaces=self.n_subspaces,

@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .vocab import Vocab
+from .vocab import N_CLASSES, Vocab
 
-N_CLASSES = 8
+TRANSCRIPT_LEN = (4, 8)     # shortest and longest transcript, in words
 
 
 @dataclass
@@ -35,7 +35,6 @@ class CorpusConfig:
     n_per_class: int = 64
     feat_dim: int = 8
     frames_per_utt: int = 24
-    transcript_len: tuple[int, int] = (4, 8)
     spread: float = 0.35
     coupling: float = 1.0
     train_fraction: float = 0.9
@@ -69,7 +68,7 @@ def generate_corpus(cfg: CorpusConfig, vocab: Vocab) -> list[Utterance]:
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     centroids = class_centroids(cfg.feat_dim)
-    lo, hi = cfg.transcript_len
+    lo, hi = TRANSCRIPT_LEN
     n_train = round(cfg.train_fraction * cfg.n_per_class)
     utts: list[Utterance] = []
     for cls in range(N_CLASSES):

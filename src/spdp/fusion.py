@@ -18,7 +18,7 @@ from . import tensor as T
 from .parallel import ParallelPathModel
 from .serial import SerialModel
 from .tensor import Tensor
-from .vocab import STYLE_LABELS, Vocab
+from .vocab import N_CLASSES, STYLE_LABELS, Vocab
 
 ZERO_MASS_FALLBACK = "ZeroMassFallback"
 PARALLEL_ONLY_FALLBACK = "ParallelOnlyFallback"
@@ -46,8 +46,8 @@ class StyleMap:
         self.labels = list(STYLE_LABELS)
         self.label_token_ids = [list(ids) for ids in vocab.label_token_ids]
         self.first_token_ids = list(vocab.first_token_ids)
-        if len(set(self.first_token_ids)) != 8 or len(self.labels) != 8:
-            raise ValueError("style map requires 8 labels with distinct first tokens")
+        if len(set(self.first_token_ids)) != N_CLASSES:
+            raise ValueError(f"style map requires {N_CLASSES} labels with distinct first tokens")
 
 
 class NonFiniteLoss(FloatingPointError, ValueError):
@@ -72,7 +72,7 @@ def serial_style_distribution(p_nt: np.ndarray, style_map: StyleMap
     extracted = p_nt[style_map.first_token_ids]
     mass = extracted.sum()
     if mass < 1e-12:
-        return np.full(8, 1.0 / 8.0), [ZERO_MASS_FALLBACK]
+        return np.full(N_CLASSES, 1.0 / N_CLASSES), [ZERO_MASS_FALLBACK]
     return extracted / mass, []
 
 
@@ -137,7 +137,7 @@ def predict(frames: np.ndarray, serial: SerialModel, parallel: ParallelPathModel
         flags = list(gen.flags[i])
         if gen.p_nt[i] is None:
             flags.append(PARALLEL_ONLY_FALLBACK)
-            p = np.full(8, 1.0 / 8.0)
+            p = np.full(N_CLASSES, 1.0 / N_CLASSES)
             final, cls_idx = q.copy(), int(np.argmax(q))
         else:
             p, p_flags = serial_style_distribution(gen.p_nt[i], style_map)

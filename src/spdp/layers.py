@@ -15,6 +15,9 @@ import numpy as np
 from . import tensor as T
 from .tensor import Tensor
 
+N_HEADS = 4     # attention heads in every TransformerLayer
+FFN_MULT = 4    # feed-forward width as a multiple of the model width
+
 
 def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:
     bound = 1.0 / math.sqrt(fan_in)
@@ -55,13 +58,12 @@ class Linear(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, dim: int, eps: float = 1e-5):
+    def __init__(self, dim: int):
         self.gamma = Tensor(np.ones(dim), requires_grad=True)
         self.beta = Tensor(np.zeros(dim), requires_grad=True)
-        self.eps = eps
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.layer_norm(x, self.gamma, self.beta, eps=self.eps)
+        return T.layer_norm(x, self.gamma, self.beta)
 
 
 class Embedding(Module):
@@ -125,10 +127,9 @@ class MultiHeadAttention(Module):
     graph, so it is refused while gradients are on.
     """
 
-    def __init__(self, rng: np.random.Generator, dim: int, n_heads: int):
-        if dim % n_heads != 0:
-            raise ValueError("attention dim must divide evenly into heads")
-        self.n_heads = n_heads
+    def __init__(self, rng: np.random.Generator, dim: int):
+        if dim % N_HEADS != 0:
+            raise ValueError(f"attention dim {dim} must divide evenly into {N_HEADS} heads")
         self.wq = Linear(rng, dim, dim)
         self.wk = Linear(rng, dim, dim)
         self.wv = Linear(rng, dim, dim)
@@ -141,18 +142,18 @@ class MultiHeadAttention(Module):
         q, k, v = self.wq(x), self.wk(x), self.wv(x)
         if cache is not None:
             k, v = cache.extend(k, v)
-        return self.wo(T.attention(q, k, v, self.n_heads, mask))
+        return self.wo(T.attention(q, k, v, N_HEADS, mask))
 
 
 class TransformerLayer(Module):
     """Pre-norm block: x + attn(LN(x)), then x + ffn(LN(x))."""
 
-    def __init__(self, rng: np.random.Generator, dim: int, n_heads: int, ffn_mult: int = 4):
+    def __init__(self, rng: np.random.Generator, dim: int):
         self.ln1 = LayerNorm(dim)
-        self.attn = MultiHeadAttention(rng, dim, n_heads)
+        self.attn = MultiHeadAttention(rng, dim)
         self.ln2 = LayerNorm(dim)
-        self.fc1 = Linear(rng, dim, ffn_mult * dim)
-        self.fc2 = Linear(rng, ffn_mult * dim, dim)
+        self.fc1 = Linear(rng, dim, FFN_MULT * dim)
+        self.fc2 = Linear(rng, FFN_MULT * dim, dim)
 
     def __call__(self, x: Tensor, mask: np.ndarray | None = None,
                  cache: KVCache | None = None) -> Tensor:

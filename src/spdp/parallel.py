@@ -16,9 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .layers import (Linear, LayerNorm, Module, TransformerLayer, key_padding_mask,
-                     sinusoidal_positions)
+from .layers import (N_HEADS, Linear, LayerNorm, Module, TransformerLayer,
+                     key_padding_mask, sinusoidal_positions)
 from .tensor import Tensor
+from .vocab import N_CLASSES
+
+CLASSIFIER_LAYERS = 3
 
 
 @dataclass
@@ -28,30 +31,23 @@ class ParallelPathConfig:
     d_shared: int = 64
     n_subspaces: int = 8
     ref_dim: int = 32
-    n_classes: int = 8
-    classifier_layers: int = 3
-    classifier_heads: int = 4
-    classifier_ffn_mult: int = 4
-    eps_norm: float = 1e-5
-    use_positions: bool = True
 
     @property
     def rep_dim(self) -> int:
         return self.n_subspaces + self.ref_dim
 
     def validate(self) -> None:
-        for field in ("d_shared", "n_subspaces", "ref_dim", "n_classes"):
+        for field in ("d_shared", "n_subspaces", "ref_dim"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be >= 1")
-        if self.rep_dim % self.classifier_heads != 0:
-            raise ValueError("classifier input dim must divide evenly into heads")
+        if self.rep_dim % N_HEADS != 0:
+            raise ValueError(f"n_subspaces + ref_dim must divide evenly into {N_HEADS} heads")
 
 
 @dataclass
 class ParallelPathOutput:
-    log_probs: Tensor          # (B, n_classes), LogSoftmax domain
+    log_probs: Tensor          # (B, N_CLASSES), LogSoftmax domain
     h_cm: Tensor               # (B, T, N + ref_dim)
-    attention_weights: np.ndarray  # (B, T, S)
 
 
 class ParallelPathModel(Module):
@@ -60,9 +56,9 @@ class ParallelPathModel(Module):
         self.cfg = cfg
         d = cfg.d_shared
         self.proj_a = Linear(rng, cfg.emb_a_dim, d)
-        self.norm_a = LayerNorm(d, eps=cfg.eps_norm)
+        self.norm_a = LayerNorm(d)
         self.proj_t = Linear(rng, cfg.emb_t_dim, d)
-        self.norm_t = LayerNorm(d, eps=cfg.eps_norm)
+        self.norm_t = LayerNorm(d)
         n = cfg.n_subspaces
         # All N subspace projections of a side as one (d, N*d) Linear whose
         # columns n*d:(n+1)*d are subspace n. The draw is N consecutive
@@ -73,11 +69,9 @@ class ParallelPathModel(Module):
         for lin in (self.sub_a, self.sub_t):
             lin.w.data = lin.w.data.reshape(n, d, d).transpose(1, 0, 2).reshape(d, n * d)
         self.proj_r = Linear(rng, d, cfg.ref_dim)
-        self.classifier = [TransformerLayer(rng, cfg.rep_dim, cfg.classifier_heads,
-                                            cfg.classifier_ffn_mult)
-                           for _ in range(cfg.classifier_layers)]
-        self.final_norm = LayerNorm(cfg.rep_dim, eps=cfg.eps_norm)
-        self.head = Linear(rng, cfg.rep_dim, cfg.n_classes)
+        self.classifier = [TransformerLayer(rng, cfg.rep_dim) for _ in range(CLASSIFIER_LAYERS)]
+        self.final_norm = LayerNorm(cfg.rep_dim)
+        self.head = Linear(rng, cfg.rep_dim, N_CLASSES)
 
     # -- stage 1: bimodal projection -------------------------------------------
 
@@ -124,9 +118,7 @@ class ParallelPathModel(Module):
         counts = frame_mask.sum(axis=1)
         if (counts == 0).any():
             raise ValueError("zero valid frames")
-        x = h_cm
-        if self.cfg.use_positions:
-            x = T.add(x, sinusoidal_positions(x.shape[1], self.cfg.rep_dim))
+        x = T.add(h_cm, sinusoidal_positions(h_cm.shape[1], self.cfg.rep_dim))
         attn_mask = key_padding_mask(frame_mask)
         for layer in self.classifier:
             x = layer(x, mask=attn_mask)
@@ -139,12 +131,10 @@ class ParallelPathModel(Module):
 
     def forward(self, emb_a, emb_t, text_mask: np.ndarray, frame_mask: np.ndarray) -> ParallelPathOutput:
         h_a, h_t = self.project_bimodal(emb_a, emb_t)
-        h_t_al, attn = self.align(h_a, h_t, text_mask)
+        h_t_al, _ = self.align(h_a, h_t, text_mask)
         s = self.subspace_similarities(h_a, h_t_al)
         h_cm = self.build_representation(s, h_t_al)
-        log_probs = self.classify(h_cm, frame_mask)
-        return ParallelPathOutput(log_probs=log_probs, h_cm=h_cm,
-                          attention_weights=np.array(attn.data))
+        return ParallelPathOutput(log_probs=self.classify(h_cm, frame_mask), h_cm=h_cm)
 
     def loss(self, out: ParallelPathOutput, labels: np.ndarray) -> Tensor:
         return T.class_nll(out.log_probs, labels)

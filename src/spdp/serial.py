@@ -5,7 +5,7 @@ The decoder is trained on targets of the form
     transcript words ++ "<" ++ style label words ++ ">" ++ EOS
 
 so at inference it transcribes first, then brackets a style label. The
-encoder additionally exports the concatenated hidden states of three tapped
+encoder additionally exports the concatenated hidden states of all its
 layers (the acoustic embedding for the parallel path), and the decoder
 exports its last-layer hidden states over transcript positions (the
 linguistic embedding).
@@ -24,35 +24,23 @@ from .layers import (Conv1d, Embedding, KVCache, LayerNorm, Linear, Module,
 from .tensor import Tensor
 from .vocab import EOS_ID, PAD_ID, STYLE_OPEN_ID
 
+ENC_LAYERS = 3       # encoder layers, every one tapped for the acoustic embedding
+ADAPTOR_LAYERS = 4
+DEC_LAYERS = 2
+DOWNSAMPLE = 2       # stride of the last encoder conv and of the last adaptor conv
+
 
 @dataclass
 class SerialConfig:
     feat_dim: int
     vocab_size: int
     enc_dim: int = 32
-    enc_layers: int = 3
-    tap_layers: tuple[int, ...] = (1, 2, 3)
-    enc_heads: int = 4
-    conv_downsample: int = 2
-    adaptor_downsample: int = 2
-    adaptor_layers: int = 4
     dec_dim: int = 48
-    dec_layers: int = 2
-    dec_heads: int = 4
-    ffn_mult: int = 4
     max_decode_len: int = 48
 
     @property
     def emb_a_dim(self) -> int:
-        return 3 * self.enc_dim
-
-    def validate(self) -> None:
-        if len(self.tap_layers) != 3:
-            raise ValueError("exactly three tap layers are required")
-        if list(self.tap_layers) != sorted(set(self.tap_layers)):
-            raise ValueError("tap layers must be strictly increasing")
-        if self.tap_layers[0] < 1 or self.tap_layers[-1] > self.enc_layers:
-            raise ValueError("tap layers must lie within 1..enc_layers")
+        return ENC_LAYERS * self.enc_dim
 
 
 @dataclass
@@ -76,20 +64,16 @@ class DecoderCache:
 
 class SerialModel(Module):
     def __init__(self, cfg: SerialConfig, rng: np.random.Generator):
-        cfg.validate()
         self.cfg = cfg
         self.enc_conv1 = Conv1d(rng, cfg.feat_dim, cfg.enc_dim, stride=1)
-        self.enc_conv2 = Conv1d(rng, cfg.enc_dim, cfg.enc_dim, stride=cfg.conv_downsample)
-        self.enc = [TransformerLayer(rng, cfg.enc_dim, cfg.enc_heads, cfg.ffn_mult)
-                    for _ in range(cfg.enc_layers)]
+        self.enc_conv2 = Conv1d(rng, cfg.enc_dim, cfg.enc_dim, stride=DOWNSAMPLE)
+        self.enc = [TransformerLayer(rng, cfg.enc_dim) for _ in range(ENC_LAYERS)]
         self.ad_conv1 = Conv1d(rng, cfg.enc_dim, cfg.dec_dim, stride=1)
         self.ad_conv2 = Conv1d(rng, cfg.dec_dim, cfg.dec_dim, stride=1)
-        self.ad_conv3 = Conv1d(rng, cfg.dec_dim, cfg.dec_dim, stride=cfg.adaptor_downsample)
-        self.ad = [TransformerLayer(rng, cfg.dec_dim, cfg.dec_heads, cfg.ffn_mult)
-                   for _ in range(cfg.adaptor_layers)]
+        self.ad_conv3 = Conv1d(rng, cfg.dec_dim, cfg.dec_dim, stride=DOWNSAMPLE)
+        self.ad = [TransformerLayer(rng, cfg.dec_dim) for _ in range(ADAPTOR_LAYERS)]
         self.embed = Embedding(rng, cfg.vocab_size, cfg.dec_dim)
-        self.dec = [TransformerLayer(rng, cfg.dec_dim, cfg.dec_heads, cfg.ffn_mult)
-                    for _ in range(cfg.dec_layers)]
+        self.dec = [TransformerLayer(rng, cfg.dec_dim) for _ in range(DEC_LAYERS)]
         self.dec_norm = LayerNorm(cfg.dec_dim)
         self.head = Linear(rng, cfg.dec_dim, cfg.vocab_size)
 
@@ -108,13 +92,12 @@ class SerialModel(Module):
         x = T.mul(frames, frame_mask.astype(np.float64)[:, :, None])
         x = T.gelu(self.enc_conv1(x))
         x = T.gelu(self.enc_conv2(x))
-        ds_mask = frame_mask[:, ::self.cfg.conv_downsample]
+        ds_mask = frame_mask[:, ::DOWNSAMPLE]
         attn_mask = key_padding_mask(ds_mask)
         taps: list[Tensor] = []
-        for depth, layer in enumerate(self.enc, start=1):
+        for layer in self.enc:
             x = layer(x, mask=attn_mask)
-            if depth in self.cfg.tap_layers:
-                taps.append(x)
+            taps.append(x)
         emb_a = T.concat(taps, axis=-1)
         return x, emb_a, ds_mask
 
@@ -124,7 +107,7 @@ class SerialModel(Module):
         x = T.gelu(self.ad_conv1(enc_last))
         x = T.gelu(self.ad_conv2(x))
         x = T.gelu(self.ad_conv3(x))
-        ds_mask = np.asarray(mask, dtype=bool)[:, ::self.cfg.adaptor_downsample]
+        ds_mask = np.asarray(mask, dtype=bool)[:, ::DOWNSAMPLE]
         attn_mask = key_padding_mask(ds_mask)
         for layer in self.ad:
             x = layer(x, mask=attn_mask)

@@ -28,7 +28,7 @@ from .optim import AdamW
 from .parallel import ParallelPathModel
 from .serial import SerialModel
 from .tensor import Tensor
-from .vocab import Vocab, build_vocab
+from .vocab import N_CLASSES, Vocab, build_vocab
 
 NO_LINGUISTIC_EVIDENCE = "NoLinguisticEvidence"
 
@@ -159,7 +159,7 @@ class MetricsReport:
     fused_accuracy: float
     serial_accuracy: float
     parallel_accuracy: float
-    confusion: np.ndarray          # (8, 8) rows gold, cols predicted (fused)
+    confusion: np.ndarray          # (N_CLASSES, N_CLASSES) rows gold, cols predicted (fused)
     fallback_counts: dict[str, int]
 
     def to_json(self) -> str:
@@ -187,7 +187,7 @@ def evaluate(model: SpdpModel, utts: list[Utterance],
         raise ValueError("evaluation split is empty")
     cfg = model.run_cfg.fusion_config()
     prompt = model.vocab.prompt_pool[0]
-    confusion = np.zeros((8, 8), dtype=np.int64)
+    confusion = np.zeros((N_CLASSES, N_CLASSES), dtype=np.int64)
     serial_hits = parallel_hits = fused_hits = 0
     fallbacks: dict[str, int] = {}
     lines: list[str] = []
@@ -238,7 +238,7 @@ def _equal_length_runs(utts: list[Utterance], size: int) -> list[list[Utterance]
 
 
 def write_confusion_csv(report: MetricsReport, path: str | Path) -> None:
-    rows = ["gold\\pred," + ",".join(str(j) for j in range(8))]
-    for i in range(8):
+    rows = ["gold\\pred," + ",".join(str(j) for j in range(N_CLASSES))]
+    for i in range(N_CLASSES):
         rows.append(f"{i}," + ",".join(str(int(v)) for v in report.confusion[i]))
     Path(path).write_text("\n".join(rows) + "\n", encoding="utf-8")

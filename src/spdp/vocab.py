@@ -32,6 +32,7 @@ STYLE_LABELS = (
     "spontaneous conversation",
     "others",
 )
+N_CLASSES = len(STYLE_LABELS)
 
 PROMPT_TEXTS = (
     "identify the speaking style of this audio",

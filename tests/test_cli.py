@@ -341,22 +341,46 @@ MANIFEST_KEYS = ["id", "style", "transcript", "split", "frames_offset"]
                          + [("transcript", 5), ("style", 8)])
 def test_train_on_a_malformed_manifest_record_is_data_error(workspace, tmp_path, capsys,
                                                             key, value):
+    def edit(rec):
+        if value is None:
+            del rec[key]
+        else:
+            rec[key] = value
+
+    cfg = _config_with_edited_record(workspace, tmp_path, 2, edit)
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "manifest.jsonl line 3: " in err and repr(key) in err
+
+
+@pytest.mark.parametrize("transcript, bad_id", [([9999], 9999), ([-1, 5], -1)])
+def test_train_on_a_token_id_outside_the_vocabulary_is_data_error(workspace, tmp_path, capsys,
+                                                                  transcript, bad_id):
+    def edit(rec):
+        assert rec["id"] == "utt-0-00000"
+        rec["transcript"] = transcript
+
+    cfg = _config_with_edited_record(workspace, tmp_path, 0, edit)
+    out = tmp_path / "r"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"utterance utt-0-00000: token id {bad_id} is outside the vocabulary 0..120" in err
+    assert not (out / "vocab.tsv").exists()
+
+
+def _config_with_edited_record(workspace, tmp_path, index, edit):
+    """A copy of the workspace config whose manifest has record ``index`` edited."""
     lines = (workspace["data"] / "manifest.jsonl").read_text().splitlines()
-    rec = json.loads(lines[2])
-    if value is None:
-        del rec[key]
-    else:
-        rec[key] = value
-    lines[2] = json.dumps(rec)
+    rec = json.loads(lines[index])
+    edit(rec)
+    lines[index] = json.dumps(rec)
     manifest = tmp_path / "manifest.jsonl"
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(workspace["cfg"].read_text().replace(
         f"manifest = {workspace['data']}/manifest.jsonl", f"manifest = {manifest}"),
         encoding="utf-8")
-    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert "manifest.jsonl line 3: " in err and repr(key) in err
+    return cfg
 
 
 def test_train_on_a_vocab_file_cut_at_a_line_boundary_is_data_error(workspace, tmp_path,
@@ -413,6 +437,18 @@ def test_filter_truth_that_is_not_a_file_is_data_error(workspace, tmp_path, caps
     assert not (out / "curated.jsonl").exists()
 
 
+@pytest.mark.parametrize("content", ["{bad", "[1, 2]"])
+def test_filter_truth_that_is_not_a_json_object_is_data_error(workspace, tmp_path, capsys,
+                                                              content):
+    truth = tmp_path / "truth.json"
+    truth.write_text(content, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["filter", "--wav-dir", str(workspace["data"] / "wav"), "--out", str(out),
+                 "--truth", str(truth)]) == EXIT_DATA
+    assert f"--truth {truth}: " in capsys.readouterr().err
+    assert not (out / "curated.jsonl").exists()
+
+
 def test_filter_empty_directory_is_data_error(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     assert main(["filter", "--wav-dir", str(tmp_path / "empty"),
@@ -428,6 +464,12 @@ def test_gradcheck_passes(capsys):
     out = capsys.readouterr().out
     assert "gradcheck passed" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("coords", ["0", "-1"])
+def test_gradcheck_coords_below_one_is_usage_error(capsys, coords):
+    assert main(["gradcheck", "--coords", coords, "--inject-fault"]) == EXIT_USAGE
+    assert f"--coords must be >= 1, got {coords}" in capsys.readouterr().err
 
 
 def test_gradcheck_detects_injected_fault(capsys):

@@ -4,6 +4,9 @@ import dataclasses
 import re
 from pathlib import Path
 
+import pytest
+
+from spdp import config
 from spdp.config import RunConfig, make_run_config
 from spdp.parallel import ParallelPathConfig
 from spdp.serial import SerialConfig
@@ -23,6 +26,19 @@ def test_module_configs_take_remaining_dims_and_module_defaults():
     assert cfg.parallel_config() == ParallelPathConfig(
         emb_a_dim=3 * cfg.enc_dim, emb_t_dim=cfg.dec_dim, d_shared=cfg.d_shared,
         n_subspaces=cfg.n_subspaces, ref_dim=cfg.ref_dim)
+
+
+@pytest.mark.parametrize("method, args, cls", [
+    ("corpus_config", (), config.CorpusConfig),
+    ("serial_config", (40,), config.SerialConfig),
+    ("parallel_config", (), config.ParallelPathConfig),
+])
+def test_module_config_fields_are_exactly_what_run_config_sets(monkeypatch, method, args, cls):
+    """A module-config field that no RunConfig key reaches is a fixed value: a constant."""
+    passed: dict[str, object] = {}
+    monkeypatch.setattr(config, cls.__name__, lambda **kwargs: passed.update(kwargs))
+    getattr(RunConfig(), method)(*args)
+    assert sorted(passed) == sorted(f.name for f in dataclasses.fields(cls))
 
 
 def _readme_key_table() -> list[str]:

@@ -67,7 +67,7 @@ def test_corpus_coupling_controls_word_blocks():
 
 
 def test_corpus_transcript_lengths_within_bounds():
-    cfg = CorpusConfig(n_per_class=16, transcript_len=(4, 8), seed=4)
+    cfg = CorpusConfig(n_per_class=16, seed=4)
     for u in generate_corpus(cfg, VOCAB):
         assert 4 <= len(u.transcript) <= 8
 

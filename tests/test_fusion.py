@@ -182,12 +182,12 @@ def test_prediction_record_json_round_trip():
 
 def tiny_models(seed=0, **serial_overrides):
     kwargs = dict(feat_dim=8, vocab_size=len(VOCAB), enc_dim=16, dec_dim=24,
-                  enc_heads=4, dec_heads=4, max_decode_len=16)
+                  max_decode_len=16)
     kwargs.update(serial_overrides)
     scfg = SerialConfig(**kwargs)
     serial = SerialModel(scfg, np.random.default_rng(seed))
     acfg = ParallelPathConfig(emb_a_dim=scfg.emb_a_dim, emb_t_dim=scfg.dec_dim,
-                      d_shared=16, n_subspaces=4, ref_dim=12, classifier_heads=4)
+                      d_shared=16, n_subspaces=4, ref_dim=12)
     parallel = ParallelPathModel(acfg, np.random.default_rng(seed + 1))
     return serial, parallel
 

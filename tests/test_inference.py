@@ -208,7 +208,7 @@ def test_cached_decode_matches_full_decode_on_every_position(trained):
 
 
 def test_kv_cache_is_refused_with_gradients_on():
-    layer = TransformerLayer(np.random.default_rng(0), 8, 2)
+    layer = TransformerLayer(np.random.default_rng(0), 8)
     x = T.Tensor(np.random.default_rng(1).normal(size=(1, 3, 8)))
     with pytest.raises(ValueError, match="no_grad"):
         layer(x, cache=KVCache(5))
@@ -220,7 +220,7 @@ def test_kv_cache_is_refused_with_gradients_on():
 
 
 def test_kv_cache_overflow_raises():
-    layer = TransformerLayer(np.random.default_rng(0), 8, 2)
+    layer = TransformerLayer(np.random.default_rng(0), 8)
     x = T.Tensor(np.random.default_rng(1).normal(size=(1, 3, 8)))
     cache = KVCache(4)
     with T.no_grad():

@@ -19,7 +19,7 @@ VOCAB = build_vocab()
 
 def small_cfg(**overrides) -> SerialConfig:
     base = dict(feat_dim=8, vocab_size=len(VOCAB), enc_dim=16, dec_dim=24,
-                enc_heads=4, dec_heads=4, max_decode_len=24)
+                max_decode_len=24)
     base.update(overrides)
     return SerialConfig(**base)
 
@@ -122,7 +122,7 @@ def test_adapt_shapes():
 
 
 def test_encoder_adaptor_gradients_match_fd():
-    model = make_model(enc_dim=8, dec_dim=8, enc_heads=2, dec_heads=2)
+    model = make_model(enc_dim=8, dec_dim=8)
     rng = np.random.default_rng(4)
     frames = rng.normal(size=(1, 6, 8))
     mask = np.ones((1, 6), dtype=bool)
@@ -312,15 +312,6 @@ def test_generation_without_style_open_sets_flag():
 
 
 # -- config validation -------------------------------------------------------------------
-
-
-def test_tap_layer_validation():
-    with pytest.raises(ValueError, match="exactly three"):
-        SerialModel(small_cfg(tap_layers=(1, 2)), np.random.default_rng(0))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        SerialModel(small_cfg(tap_layers=(2, 1, 3)), np.random.default_rng(0))
-    with pytest.raises(ValueError, match="within"):
-        SerialModel(small_cfg(tap_layers=(1, 2, 9)), np.random.default_rng(0))
 
 
 def test_emb_a_dim_property():
