@@ -27,6 +27,7 @@ RATE_GATE = 0.5
 RATE_MIN_SEP_S = 0.1
 WIN_S = 0.025
 HOP_S = 0.010
+PITCH_BLOCK_ROWS = 32  # frames per FFT call; keeps the padded spectra near 1 MiB
 
 FEATURE_NAMES = ("speaking_rate", "energy_mean", "energy_std", "pitch_mean", "pitch_std")
 
@@ -50,32 +51,40 @@ class FeatureVector5:
 def _frame_rms(waveform: np.ndarray, sample_rate: int) -> tuple[np.ndarray, np.ndarray]:
     win = round(WIN_S * sample_rate)
     hop = round(HOP_S * sample_rate)
+    if hop < 1:
+        raise ValueError(f"sample rate {sample_rate} Hz is too low: "
+                         f"the {HOP_S * 1e3:g} ms hop is under one sample")
     if waveform.size < win:
         raise ValueError("waveform shorter than one analysis window")
-    n_frames = 1 + (waveform.size - win) // hop
-    idx = np.arange(win)[None, :] + hop * np.arange(n_frames)[:, None]
-    frames = waveform[idx]
+    frames = np.lib.stride_tricks.sliding_window_view(waveform, win)[::hop]
     return np.sqrt((frames * frames).mean(axis=1)), frames
 
 
-def _frame_pitch(frame: np.ndarray, sample_rate: int) -> float | None:
-    """Autocorrelation pitch with parabolic peak refinement, or None."""
-    x = frame - frame.mean()
-    n = x.size
+def _frame_pitches(frames: np.ndarray, sample_rate: int) -> np.ndarray:
+    """Autocorrelation pitch with parabolic peak refinement for each row of a
+    (k, n) frame stack; NaN marks a row with no pitch (an all-zero centred
+    frame, or a lag band that the rate leaves empty)."""
+    k, n = frames.shape
     lag_lo = int(math.floor(sample_rate / PITCH_MAX_HZ))
     lag_hi = min(int(math.ceil(sample_rate / PITCH_MIN_HZ)), n - 2)
     if lag_lo < 1 or lag_lo >= lag_hi:
-        return None
-    r = np.correlate(x, x, mode="full")[n - 1:]
-    if r[0] <= 0:
-        return None
-    band = r[lag_lo:lag_hi + 1]
-    best = lag_lo + int(np.argmax(band))
-    y0, y1, y2 = r[best - 1], r[best], r[best + 1]
+        return np.full(k, np.nan)
+    x = frames - frames.mean(axis=1, keepdims=True)
+    # Zero-padding to n + lag_hi + 1 or more keeps the circular wrap off every lag read.
+    n_fft = 1 << (n + lag_hi).bit_length()
+    r = np.empty((k, lag_hi + 2))
+    for i in range(0, k, PITCH_BLOCK_ROWS):
+        spec = np.fft.rfft(x[i:i + PITCH_BLOCK_ROWS], n_fft)
+        r[i:i + PITCH_BLOCK_ROWS] = np.fft.irfft(spec.real ** 2 + spec.imag ** 2,
+                                                 n_fft)[:, :lag_hi + 2]
+    r[:, 0] = np.einsum("ij,ij->i", x, x)
+    best = lag_lo + np.argmax(r[:, lag_lo:lag_hi + 1], axis=1)
+    rows = np.arange(k)
+    y0, y1, y2 = r[rows, best - 1], r[rows, best], r[rows, best + 1]
     denom = y0 - 2.0 * y1 + y2
-    delta = 0.0 if abs(denom) < 1e-12 else (y0 - y2) / (2.0 * denom)
-    delta = float(np.clip(delta, -0.5, 0.5))
-    return sample_rate / (best + delta)
+    delta = np.divide(y0 - y2, 2.0 * denom, out=np.zeros(k), where=np.abs(denom) >= 1e-12)
+    pitch = sample_rate / (best + np.clip(delta, -0.5, 0.5))
+    return np.where(r[:, 0] > 0, pitch, np.nan)
 
 
 def extract_features5(waveform: np.ndarray, sample_rate: int) -> FeatureVector5:
@@ -93,10 +102,9 @@ def extract_features5(waveform: np.ndarray, sample_rate: int) -> FeatureVector5:
     energy_mean = float(rms.mean())
     energy_std = float(rms.std())
 
-    voiced = rms > VOICING_GATE * peak
-    pitches = [p for i in np.flatnonzero(voiced)
-               if (p := _frame_pitch(frames[i], sample_rate)) is not None]
-    if pitches:
+    pitches = _frame_pitches(frames[rms > VOICING_GATE * peak], sample_rate)
+    pitches = pitches[~np.isnan(pitches)]
+    if pitches.size:
         pitch_mean = float(np.mean(pitches))
         pitch_std = float(np.std(pitches))
         flags: list[str] = []
@@ -209,8 +217,8 @@ def save_wav(path: str | Path, waveform: np.ndarray, sample_rate: int = 16000) -
 
 
 def load_wav(path: str | Path) -> tuple[np.ndarray, int]:
-    """Samples scaled to [-1, 1] and the rate; a file that is not a RIFF WAV
-    is a ValueError naming it."""
+    """Samples scaled to [-1, 1] and the rate; a file that is not a RIFF WAV,
+    or whose chunk sizes run past its end, is a ValueError naming it."""
     try:
         with wave.open(str(path), "rb") as fh:
             if fh.getnchannels() != 1 or fh.getsampwidth() != 2:
@@ -219,6 +227,9 @@ def load_wav(path: str | Path) -> tuple[np.ndarray, int]:
             pcm = np.frombuffer(fh.readframes(fh.getnframes()), dtype="<i2")
     except wave.Error as err:
         raise ValueError(f"{path}: not a WAV file: {err}") from err
+    except RuntimeError as err:  # wave's chunk reader, on a chunk longer than its RIFF
+        raise ValueError(f"{path}: not a WAV file: a chunk size runs past the "
+                         "end of the RIFF chunk") from err
     return pcm.astype(np.float64) / 32767.0, sr
 
 

@@ -174,6 +174,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     utts = _require_corpus(cfg)
     vocab = _load_vocab(cfg)
     for u in utts:
+        if u.split == "train" and not u.transcript:
+            raise DataError(f"utterance {u.id}: empty transcript in the train split")
         bad = [t for t in u.transcript if not 0 <= t < len(vocab)]
         if bad:
             raise DataError(f"utterance {u.id}: token id {bad[0]} is outside the "

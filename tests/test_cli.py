@@ -1,12 +1,16 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
+import contextlib
 import hashlib
+import io
 import json
 import shutil
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spdp.checkpoint import load_checkpoint, save_checkpoint
 from spdp.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
@@ -368,6 +372,18 @@ def test_train_on_a_token_id_outside_the_vocabulary_is_data_error(workspace, tmp
     assert not (out / "vocab.tsv").exists()
 
 
+def test_train_on_an_empty_train_transcript_is_data_error(workspace, tmp_path, capsys):
+    def edit(rec):
+        assert rec["id"] == "utt-0-00000" and rec["split"] == "train"
+        rec["transcript"] = []
+
+    cfg = _config_with_edited_record(workspace, tmp_path, 0, edit)
+    out = tmp_path / "r"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_DATA
+    assert "utterance utt-0-00000: empty transcript" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _config_with_edited_record(workspace, tmp_path, index, edit):
     """A copy of the workspace config whose manifest has record ``index`` edited."""
     lines = (workspace["data"] / "manifest.jsonl").read_text().splitlines()
@@ -425,6 +441,61 @@ def test_filter_skips_a_wav_file_that_is_not_riff(workspace, tmp_path, capsys):
     assert "warning: skipping bogus.wav: " in capsys.readouterr().err
     counts = json.loads((out / "filter_counts.json").read_text())
     assert counts["skipped"] == 1 and counts["total"] == 21 and counts["readable"] == 20
+
+
+# Header patches: bytes 24-31 hold the sample rate and the byte rate; bytes
+# 16-19 the fmt chunk size, which 0x80 at byte 17 takes past the RIFF chunk.
+@pytest.mark.parametrize("offset, patch, reason", [
+    (24, struct.pack("<II", 0, 0), "sample rate 0 Hz is too low"),
+    (24, struct.pack("<II", 1, 2), "sample rate 1 Hz is too low"),
+    (24, struct.pack("<II", 50, 100), "sample rate 50 Hz is too low"),
+    (17, b"\x80", "a chunk size runs past the end of the RIFF chunk"),
+], ids=["rate-0", "rate-1", "rate-50", "fmt-size"])
+def test_filter_skips_a_wav_file_with_a_damaged_header(workspace, tmp_path, capsys, offset,
+                                                       patch, reason):
+    wav_dir = tmp_path / "wav"
+    shutil.copytree(workspace["data"] / "wav", wav_dir)
+    raw = bytearray((wav_dir / "planted-0000.wav").read_bytes())
+    raw[offset:offset + len(patch)] = patch
+    (wav_dir / "damaged.wav").write_bytes(bytes(raw))
+    out = tmp_path / "out"
+    assert main(["filter", "--wav-dir", str(wav_dir), "--out", str(out)]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert "warning: skipping damaged.wav: " in err and reason in err
+    counts = json.loads((out / "filter_counts.json").read_text())
+    assert counts["skipped"] == 1 and counts["total"] == 21 and counts["readable"] == 20
+
+
+@pytest.fixture(scope="module")
+def damaged_wav_dir(workspace, tmp_path_factory):
+    """The fixture WAV directory, copied once; each example rewrites damaged.wav."""
+    wav_dir = tmp_path_factory.mktemp("damaged") / "wav"
+    shutil.copytree(workspace["data"] / "wav", wav_dir)
+    return wav_dir
+
+
+@settings(max_examples=40, deadline=None)  # a fixture WAV (2 s at 16 kHz) has 64,044 bytes
+@given(pos=st.integers(0, 63) | st.integers(0, 64043), byte=st.none() | st.integers(0, 255))
+@example(pos=17, byte=0x80)
+def test_filter_reads_or_skips_a_truncated_or_overwritten_wav_file(damaged_wav_dir, pos, byte):
+    raw = bytearray((damaged_wav_dir / "planted-0000.wav").read_bytes())
+    if byte is None:
+        del raw[pos:]
+    else:
+        raw[pos] = byte
+    (damaged_wav_dir / "damaged.wav").write_bytes(bytes(raw))
+    out = damaged_wav_dir.parent / "out"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(["filter", "--wav-dir", str(damaged_wav_dir), "--out", str(out)])
+    assert code == EXIT_OK, err.getvalue()
+    counts = json.loads((out / "filter_counts.json").read_text())
+    lines = err.getvalue().splitlines()
+    if counts["skipped"]:
+        assert counts["readable"] == 20 and len(lines) == 1
+        assert lines[0].startswith("warning: skipping damaged.wav: ")
+    else:
+        assert counts["readable"] == 21 and lines == []
 
 
 @pytest.mark.parametrize("truth", ["missing.json", "."])

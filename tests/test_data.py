@@ -1,13 +1,16 @@
 """Unit tests for corpus synthesis, acoustic features, and dataset curation."""
 
 import json
+import math
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from spdp.audio import (FEATURE_NAMES, TERTILE_CUT, UNVOICED, BinThresholds,
-                        FeatureVector5, annotate_intersect, bin_index,
+from spdp.audio import (FEATURE_NAMES, HOP_S, PITCH_MAX_HZ, PITCH_MIN_HZ, RATE_GATE,
+                        RATE_MIN_SEP_S, TERTILE_CUT, UNVOICED, VOICING_GATE, WIN_S,
+                        BinThresholds, FeatureVector5, _frame_pitches, _frame_rms,
+                        annotate_intersect, bin_index,
                         build_filter_fixture_set, compute_bins, curate_test,
                         extract_features5, filter_high_expressivity, load_wav,
                         sample_confused_label, save_wav, synth_expressive_tone)
@@ -193,6 +196,121 @@ def test_vibrato_raises_pitch_std():
 def test_waveform_shorter_than_window_rejected():
     with pytest.raises(ValueError, match="shorter than one analysis window"):
         extract_features5(np.zeros(100), 16000)
+
+
+@pytest.mark.parametrize("rate", [0, 1, 50])
+def test_sample_rate_below_one_hop_sample_rejected(rate):
+    with pytest.raises(ValueError, match=f"sample rate {rate} Hz is too low"):
+        extract_features5(np.full(2000, 0.1), rate)
+
+
+# The per-frame pitch loop that the batched FFT autocorrelation replaced, kept
+# as the reference: one np.correlate per voiced frame over gathered frames.
+
+
+def _reference_frame_pitch(frame, sample_rate):
+    x = frame - frame.mean()
+    n = x.size
+    lag_lo = int(math.floor(sample_rate / PITCH_MAX_HZ))
+    lag_hi = min(int(math.ceil(sample_rate / PITCH_MIN_HZ)), n - 2)
+    if lag_lo < 1 or lag_lo >= lag_hi:
+        return None
+    r = np.correlate(x, x, mode="full")[n - 1:]
+    if r[0] <= 0:
+        return None
+    band = r[lag_lo:lag_hi + 1]
+    best = lag_lo + int(np.argmax(band))
+    y0, y1, y2 = r[best - 1], r[best], r[best + 1]
+    denom = y0 - 2.0 * y1 + y2
+    delta = 0.0 if abs(denom) < 1e-12 else (y0 - y2) / (2.0 * denom)
+    delta = float(np.clip(delta, -0.5, 0.5))
+    return sample_rate / (best + delta)
+
+
+def _reference_frames(waveform, sample_rate):
+    win = round(WIN_S * sample_rate)
+    hop = round(HOP_S * sample_rate)
+    n_frames = 1 + (waveform.size - win) // hop
+    idx = np.arange(win)[None, :] + hop * np.arange(n_frames)[:, None]
+    frames = waveform[idx]
+    return np.sqrt((frames * frames).mean(axis=1)), frames
+
+
+def _reference_features5(waveform, sample_rate):
+    waveform = np.asarray(waveform, dtype=np.float64)
+    rms, frames = _reference_frames(waveform, sample_rate)
+    duration = waveform.size / sample_rate
+    peak = rms.max()
+    if peak == 0.0:
+        return FeatureVector5(0.0, 0.0, 0.0, 0.0, 0.0, flags=[UNVOICED])
+    energy_mean = float(rms.mean())
+    energy_std = float(rms.std())
+
+    voiced = rms > VOICING_GATE * peak
+    pitches = [p for i in np.flatnonzero(voiced)
+               if (p := _reference_frame_pitch(frames[i], sample_rate)) is not None]
+    if pitches:
+        pitch_mean = float(np.mean(pitches))
+        pitch_std = float(np.std(pitches))
+        flags = []
+    else:
+        pitch_mean = pitch_std = 0.0
+        flags = [UNVOICED]
+
+    gate = RATE_GATE * peak
+    min_sep = max(1, round(RATE_MIN_SEP_S * sample_rate / round(HOP_S * sample_rate)))
+    count = 0
+    last = -min_sep
+    for i in range(1, rms.size - 1):
+        if rms[i] > gate and rms[i] > rms[i - 1] and rms[i] >= rms[i + 1] \
+                and i - last >= min_sep:
+            count += 1
+            last = i
+    speaking_rate = count / duration
+    return FeatureVector5(speaking_rate, energy_mean, energy_std,
+                          pitch_mean, pitch_std, flags=flags)
+
+
+def _silent_and_dc_stretches(sr=16000):
+    t = np.arange(round(0.3 * sr)) / sr
+    tone = 0.3 * np.sin(2 * np.pi * 190.0 * t)
+    return np.concatenate([tone, np.zeros(t.size), np.full(t.size, 0.25), tone,
+                           np.full(t.size, -0.1), np.full(t.size, 1.0 / 3.0), tone])
+
+
+def _pitch_cases(tmp_path):
+    truth = build_filter_fixture_set(tmp_path, n=100, planted_fraction=0.2, seed=0)
+    for name in truth:
+        yield (name, *load_wav(tmp_path / name))
+    t = np.arange(round(1.2 * 22050)) / 22050
+    yield "tone-22050", 0.3 * np.sin(2 * np.pi * 220.0 * t), 22050
+    yield "silent-and-dc", _silent_and_dc_stretches(), 16000
+
+
+def test_batched_pitch_matches_the_per_frame_reference(tmp_path):
+    n_none = 0
+    for name, wav, sr in _pitch_cases(tmp_path):
+        want, got = _reference_features5(wav, sr), extract_features5(wav, sr)
+        assert (got.speaking_rate, got.energy_mean, got.energy_std, got.flags) == \
+            (want.speaking_rate, want.energy_mean, want.energy_std, want.flags), name
+        npt.assert_allclose([got.pitch_mean, got.pitch_std],
+                            [want.pitch_mean, want.pitch_std], rtol=1e-9, atol=0, err_msg=name)
+
+        rms, frames = _frame_rms(wav, sr)
+        want_rms, want_frames = _reference_frames(wav, sr)
+        npt.assert_array_equal(rms, want_rms)
+        npt.assert_array_equal(frames, want_frames)
+        voiced = frames[rms > VOICING_GATE * rms.max()]
+        ref = [_reference_frame_pitch(f, sr) for f in voiced]
+        assert np.isnan(_frame_pitches(voiced, sr)).tolist() == [p is None for p in ref], name
+        n_none += sum(p is None for p in ref)
+    assert n_none > 0  # the silent/DC case reaches the r[0] <= 0 rule
+
+
+def test_frame_pitches_on_an_empty_lag_band():
+    frames = np.random.default_rng(3).normal(size=(4, 10))
+    assert np.isnan(_frame_pitches(frames, 16000)).all()  # lag_hi capped at n - 2 < lag_lo
+    assert np.isnan(_frame_pitches(frames, 300)).all()  # lag_lo = 0
 
 
 # -- binning ---------------------------------------------------------------------------
