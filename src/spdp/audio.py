@@ -218,7 +218,8 @@ def save_wav(path: str | Path, waveform: np.ndarray, sample_rate: int = 16000) -
 
 def load_wav(path: str | Path) -> tuple[np.ndarray, int]:
     """Samples scaled to [-1, 1] and the rate; a file that is not a RIFF WAV,
-    or whose chunk sizes run past its end, is a ValueError naming it."""
+    whose header is cut short, or whose chunk sizes run past its end, is a
+    ValueError naming it."""
     try:
         with wave.open(str(path), "rb") as fh:
             if fh.getnchannels() != 1 or fh.getsampwidth() != 2:
@@ -227,6 +228,8 @@ def load_wav(path: str | Path) -> tuple[np.ndarray, int]:
             pcm = np.frombuffer(fh.readframes(fh.getnframes()), dtype="<i2")
     except wave.Error as err:
         raise ValueError(f"{path}: not a WAV file: {err}") from err
+    except EOFError as err:  # wave's header reader, on a file that ends inside it
+        raise ValueError(f"{path}: not a WAV file: the header is cut short") from err
     except RuntimeError as err:  # wave's chunk reader, on a chunk longer than its RIFF
         raise ValueError(f"{path}: not a WAV file: a chunk size runs past the "
                          "end of the RIFF chunk") from err

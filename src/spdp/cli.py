@@ -137,6 +137,15 @@ def _load_vocab(cfg: RunConfig) -> Vocab:
     return build_vocab()
 
 
+def _out_dir(cfg: RunConfig) -> Path:
+    out = Path(cfg.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise DataError(f"output directory {out}: {err.strerror}") from err
+    return out
+
+
 def _require_corpus(cfg: RunConfig):
     for label, path in (("manifest", cfg.manifest), ("frames", cfg.frames)):
         if not path:
@@ -151,8 +160,7 @@ def _require_corpus(cfg: RunConfig):
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     vocab = build_vocab()
     utts = generate_corpus(cfg.corpus_config(), vocab)
     save_corpus(utts, out / "manifest.jsonl", out / "frames.bin")
@@ -181,8 +189,7 @@ def cmd_train(args: argparse.Namespace) -> int:
             raise DataError(f"utterance {u.id}: token id {bad[0]} is outside the "
                             f"vocabulary 0..{len(vocab) - 1}")
     model = SpdpModel(cfg, vocab)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     vocab.save(out / "vocab.tsv")
     start_epoch, optimizer = 0, None
     if cfg.resume:
@@ -216,8 +223,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise DataError(f"checkpoint not found: {args.checkpoint}")
     before = hashlib.sha256(Path(args.checkpoint).read_bytes()).hexdigest()
     model = _restored_model(cfg, args.checkpoint)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     report = evaluate(model, utts, records_out=out / "predictions.jsonl")
     write_confusion_csv(report, out / "confusion.csv")
     (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
@@ -237,8 +243,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     if not utts:
         raise DataError(f"split {args.split!r} is empty")
     model = _restored_model(cfg, args.checkpoint)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     report = evaluate(model, utts, records_out=out / "predictions.jsonl")
     written = report.n - report.fallback_counts.get(NO_LINGUISTIC_EVIDENCE, 0)
     print(f"wrote {written} prediction records to {out / 'predictions.jsonl'}")
@@ -270,7 +275,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
             wav, sr = load_wav(path)
             features.append(extract_features5(wav, sr))
             names.append(path.name)
-        except (ValueError, EOFError, OSError) as err:
+        except (ValueError, OSError) as err:
             skipped += 1
             print(f"warning: skipping {path.name}: {err}", file=sys.stderr)
     if not features:
@@ -289,8 +294,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
         label = annotate_intersect(a, b)
         if label is not None:
             retained.append({"file": name, "label": label})
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     counts = {"total": len(paths), "readable": len(features),
               "filtered": len(kept), "retained": len(retained),
               "skipped": skipped}

@@ -62,6 +62,13 @@ class RunConfig:
     loss_alpha: float = 1.0
     loss_beta: float = 0.5
 
+    def __post_init__(self) -> None:
+        """Refuse an out-of-range value at once; each module config checks itself."""
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for build in (self.corpus_config, self.parallel_config, self.fusion_config):
+            build()
+
     # -- derived module configs -------------------------------------------------
 
     def corpus_config(self) -> CorpusConfig:

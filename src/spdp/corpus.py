@@ -30,7 +30,7 @@ class Utterance:
     split: str                      # "train" | "test"
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorpusConfig:
     n_per_class: int = 64
     feat_dim: int = 8
@@ -40,7 +40,7 @@ class CorpusConfig:
     train_fraction: float = 0.9
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.n_per_class < 2:
             raise ValueError("n_per_class must be >= 2")
         if not 0.0 <= self.coupling <= 1.0:
@@ -65,7 +65,6 @@ def centroid_separation(centroids: np.ndarray) -> float:
 
 
 def generate_corpus(cfg: CorpusConfig, vocab: Vocab) -> list[Utterance]:
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     centroids = class_centroids(cfg.feat_dim)
     lo, hi = TRANSCRIPT_LEN

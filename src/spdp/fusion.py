@@ -18,36 +18,24 @@ from . import tensor as T
 from .parallel import ParallelPathModel
 from .serial import SerialModel
 from .tensor import Tensor
-from .vocab import N_CLASSES, STYLE_LABELS, Vocab
+from .vocab import N_CLASSES, Vocab
 
 ZERO_MASS_FALLBACK = "ZeroMassFallback"
 PARALLEL_ONLY_FALLBACK = "ParallelOnlyFallback"
-NO_TERMINATION = "NoTermination"
 
 
-@dataclass
+@dataclass(frozen=True)
 class FusionConfig:
     a: float = 0.3
     b: float = 0.7
     alpha: float = 1.0
     beta: float = 0.5
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.a < 0 or self.b < 0 or self.a + self.b <= 0:
             raise ValueError("fusion weights must be nonnegative with a + b > 0")
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("loss weights must be nonnegative")
-
-
-class StyleMap:
-    """The fixed, ordered eight styles with their token ids."""
-
-    def __init__(self, vocab: Vocab):
-        self.labels = list(STYLE_LABELS)
-        self.label_token_ids = [list(ids) for ids in vocab.label_token_ids]
-        self.first_token_ids = list(vocab.first_token_ids)
-        if len(set(self.first_token_ids)) != N_CLASSES:
-            raise ValueError(f"style map requires {N_CLASSES} labels with distinct first tokens")
 
 
 class NonFiniteLoss(FloatingPointError, ValueError):
@@ -61,7 +49,7 @@ def total_loss(l_serial, l_parallel, cfg: FusionConfig) -> Tensor:
     return T.add(T.mul(l_serial, cfg.alpha), T.mul(l_parallel, cfg.beta))
 
 
-def serial_style_distribution(p_nt: np.ndarray, style_map: StyleMap
+def serial_style_distribution(p_nt: np.ndarray, vocab: Vocab
                               ) -> tuple[np.ndarray, list[str]]:
     """Reduce a vocab distribution to the 8 style first tokens, renormalized.
 
@@ -69,7 +57,7 @@ def serial_style_distribution(p_nt: np.ndarray, style_map: StyleMap
     flag it rather than dividing by ~0.
     """
     p_nt = np.asarray(p_nt, dtype=np.float64)
-    extracted = p_nt[style_map.first_token_ids]
+    extracted = p_nt[vocab.first_token_ids]
     mass = extracted.sum()
     if mass < 1e-12:
         return np.full(N_CLASSES, 1.0 / N_CLASSES), [ZERO_MASS_FALLBACK]
@@ -78,7 +66,6 @@ def serial_style_distribution(p_nt: np.ndarray, style_map: StyleMap
 
 def fuse(p: np.ndarray, q: np.ndarray, cfg: FusionConfig) -> tuple[np.ndarray, int]:
     """final = (a*p + b*q)/(a+b); argmax with ties broken to the lowest index."""
-    cfg.validate()
     p, q = np.asarray(p, dtype=np.float64), np.asarray(q, dtype=np.float64)
     final = (cfg.a * p + cfg.b * q) / (cfg.a + cfg.b)
     return final, int(np.argmax(final))
@@ -105,7 +92,7 @@ class PredictionRecord:
 
 
 def predict(frames: np.ndarray, serial: SerialModel, parallel: ParallelPathModel,
-            style_map: StyleMap, cfg: FusionConfig,
+            vocab: Vocab, cfg: FusionConfig,
             prompt: list[int]) -> list[PredictionRecord | None]:
     """Full inference for B equal-length utterances, frames (B, T, F), over
     frozen parameters; one record per row.
@@ -116,7 +103,6 @@ def predict(frames: np.ndarray, serial: SerialModel, parallel: ParallelPathModel
     When "<" never appears the serial vote is unavailable, so the fused
     result falls back to q alone.
     """
-    cfg.validate()
     frames = np.asarray(frames, dtype=np.float64)
     if frames.ndim != 3:
         raise ValueError("predict takes a (B, T, F) batch of frames")
@@ -140,7 +126,7 @@ def predict(frames: np.ndarray, serial: SerialModel, parallel: ParallelPathModel
             p = np.full(N_CLASSES, 1.0 / N_CLASSES)
             final, cls_idx = q.copy(), int(np.argmax(q))
         else:
-            p, p_flags = serial_style_distribution(gen.p_nt[i], style_map)
+            p, p_flags = serial_style_distribution(gen.p_nt[i], vocab)
             flags.extend(p_flags)
             final, cls_idx = fuse(p, q, cfg)
         records[i] = PredictionRecord(

@@ -24,7 +24,7 @@ from .vocab import N_CLASSES
 CLASSIFIER_LAYERS = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class ParallelPathConfig:
     emb_a_dim: int
     emb_t_dim: int
@@ -36,7 +36,7 @@ class ParallelPathConfig:
     def rep_dim(self) -> int:
         return self.n_subspaces + self.ref_dim
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for field in ("d_shared", "n_subspaces", "ref_dim"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be >= 1")
@@ -52,7 +52,6 @@ class ParallelPathOutput:
 
 class ParallelPathModel(Module):
     def __init__(self, cfg: ParallelPathConfig, rng: np.random.Generator):
-        cfg.validate()
         self.cfg = cfg
         d = cfg.d_shared
         self.proj_a = Linear(rng, cfg.emb_a_dim, d)

@@ -29,6 +29,8 @@ ADAPTOR_LAYERS = 4
 DEC_LAYERS = 2
 DOWNSAMPLE = 2       # stride of the last encoder conv and of the last adaptor conv
 
+NO_TERMINATION = "NoTermination"    # flag of a row whose decode never emitted "<"
+
 
 @dataclass
 class SerialConfig:
@@ -230,7 +232,7 @@ class SerialModel(Module):
                 flags.append([])
             else:
                 transcripts.append([t for t in row if t != EOS_ID])
-                flags.append(["NoTermination"])
+                flags.append([NO_TERMINATION])
                 p_nt[i] = None
         lens = np.array([len(t) for t in transcripts])
         emb_t_mask = np.arange(lens.max()) < lens[:, None]

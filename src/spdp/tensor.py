@@ -39,7 +39,8 @@ def no_grad():
 
 
 class Tensor:
-    """n-dimensional float64 array with an optional gradient buffer.
+    """n-dimensional float64 array with an optional gradient buffer; every
+    operation on it is a module function (``add``, ``matmul``, ``take``, ...).
 
     ``grad`` is allocated lazily on the first accumulation during backward
     and always matches ``data`` in shape.
@@ -86,9 +87,6 @@ class Tensor:
         else:
             self.grad += g
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self) -> None:
         """Reverse-mode sweep from a scalar output.
 
@@ -117,56 +115,6 @@ class Tensor:
         for node in reversed(topo):
             if node._backward is not None:
                 node._backward(node.grad)
-
-    # -- operator sugar -----------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __radd__(self, other):
-        return add(other, self)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __getitem__(self, idx):
-        return take(self, idx)
-
-    def sum(self, axis=None, keepdims: bool = False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims: bool = False):
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape[0] if len(shape) == 1 and isinstance(shape[0], (tuple, list)) else shape)
-
-    def transpose(self, axes: Sequence[int]):
-        return transpose(self, axes)
 
 
 def as_tensor(x) -> Tensor:

@@ -17,12 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensor as T
 from .checkpoint import load_checkpoint, require_tensor, restore_params, save_checkpoint
 from .config import RunConfig
 from .corpus import Utterance
-from .fusion import (NO_TERMINATION, PARALLEL_ONLY_FALLBACK, StyleMap,
-                     predict, total_loss)
+from .fusion import PARALLEL_ONLY_FALLBACK, predict, total_loss
 from .layers import Module
 from .optim import AdamW
 from .parallel import ParallelPathModel
@@ -42,7 +40,6 @@ class SpdpModel(Module):
         rng = np.random.default_rng(run_cfg.seed)
         self.serial = SerialModel(run_cfg.serial_config(len(self.vocab)), rng)
         self.parallel = ParallelPathModel(run_cfg.parallel_config(), rng)
-        self.style_map = StyleMap(self.vocab)
 
     def trainable_params(self) -> dict[str, Tensor]:
         return self.params()
@@ -193,7 +190,7 @@ def evaluate(model: SpdpModel, utts: list[Utterance],
     lines: list[str] = []
     for chunk in _equal_length_runs(utts, model.run_cfg.batch_size):
         recs = predict(np.stack([u.frames for u in chunk]), model.serial, model.parallel,
-                       model.style_map, cfg, prompt)
+                       model.vocab, cfg, prompt)
         for u, rec in zip(chunk, recs):
             if rec is None:
                 fallbacks[NO_LINGUISTIC_EVIDENCE] = fallbacks.get(NO_LINGUISTIC_EVIDENCE, 0) + 1
@@ -201,8 +198,7 @@ def evaluate(model: SpdpModel, utts: list[Utterance],
                 continue
             for flag in rec.flags:
                 fallbacks[flag] = fallbacks.get(flag, 0) + 1
-            serial_ok = PARALLEL_ONLY_FALLBACK not in rec.flags \
-                and NO_TERMINATION not in rec.flags
+            serial_ok = PARALLEL_ONLY_FALLBACK not in rec.flags
             if serial_ok and int(np.argmax(rec.p)) == u.gold_style:
                 serial_hits += 1
             if int(np.argmax(rec.q)) == u.gold_style:

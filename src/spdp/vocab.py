@@ -100,11 +100,8 @@ class Vocab:
         """transcript ++ "<" ++ label words ++ ">" ++ EOS, validated."""
         if STYLE_OPEN_ID in transcript_ids:
             raise ValueError("style-open token inside transcript")
-        tgt = list(transcript_ids) + [STYLE_OPEN_ID] + self.label_token_ids[style_idx] \
+        return list(transcript_ids) + [STYLE_OPEN_ID] + self.label_token_ids[style_idx] \
             + [STYLE_CLOSE_ID, EOS_ID]
-        if tgt.count(STYLE_OPEN_ID) != 1:
-            raise ValueError("target must contain exactly one style-open token")
-        return tgt
 
     # -- persistence ------------------------------------------------------------
 
@@ -117,12 +114,16 @@ class Vocab:
     def load(cls, path: str | Path) -> "Vocab":
         rows: list[tuple[int, str]] = []
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:
                     continue
-                ident, tok = line.split("\t", 1)
-                rows.append((int(ident), tok))
+                try:
+                    ident, tok = line.split("\t", 1)
+                    rows.append((int(ident), tok))
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: expected '<id>\\t<token>', "
+                                     f"got {line!r}") from None
         rows.sort()
         if [i for i, _ in rows] != list(range(len(rows))):
             raise ValueError("vocabulary ids must be contiguous from 0")

@@ -88,6 +88,37 @@ def test_malformed_weights_flag_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_config_line_without_equals_is_usage_error_naming_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("n_per_class = 4\nseed 3\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert f"{cfg}:2: expected 'key = value'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, setting, message", [
+    ("train", "--loss-weights=-1,0.5", "loss weights must be nonnegative"),
+    ("eval", "--weights=-1,2", "fusion weights must be nonnegative with a + b > 0"),
+    ("train", "batch_size = 0", "batch_size must be >= 1, got 0"),
+], ids=["negative-loss-weight", "negative-fusion-weight", "batch-size-0"])
+def test_config_value_out_of_range_is_usage_error_before_any_output(workspace, tmp_path,
+                                                                   capsys, command,
+                                                                   setting, message):
+    cfg = tmp_path / "run.cfg"
+    argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+    if setting.startswith("--"):
+        cfg.write_text(workspace["cfg"].read_text(), encoding="utf-8")
+        argv.append(setting)
+    else:   # a later line overrides an earlier one
+        cfg.write_text(workspace["cfg"].read_text() + setting + "\n", encoding="utf-8")
+    if command == "eval":
+        argv += ["--checkpoint", str(workspace["run"] / "ckpt-epoch-1.spdp")]
+    assert main(argv) == EXIT_USAGE
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_missing_config_file_is_data_error(tmp_path, capsys):
     assert main(["gen-data", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path)]) == EXIT_DATA
@@ -240,6 +271,33 @@ def test_predict_counts_only_the_records_written(workspace, monkeypatch, capsys)
     assert "wrote 7 prediction records" in capsys.readouterr().out
 
 
+def test_eval_weights_flag_reaches_the_fusion(workspace, tmp_path, capsys):
+    out = tmp_path / "e"
+    assert main(["eval", "--config", str(workspace["cfg"]), "--out", str(out),
+                 "--checkpoint", str(workspace["run"] / "ckpt-epoch-1.spdp"),
+                 "--weights", "0,1"]) == EXIT_OK
+    capsys.readouterr()
+    recs = [json.loads(line) for line in (out / "predictions.jsonl").read_text().splitlines()]
+    assert recs and any(rec["p"] != rec["q"] for rec in recs)
+    assert all(rec["final"] == rec["q"] for rec in recs)
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "eval", "predict", "filter"])
+def test_out_that_is_a_file_is_data_error(workspace, tmp_path, capsys, command):
+    out = tmp_path / "taken"
+    out.write_text("keep", encoding="utf-8")
+    argv = [command, "--out", str(out)]
+    if command != "gen-data":
+        argv += ["--config", str(workspace["cfg"])]
+    if command in ("eval", "predict"):
+        argv += ["--checkpoint", str(workspace["run"] / "ckpt-epoch-1.spdp")]
+    if command == "filter":
+        argv += ["--wav-dir", str(workspace["data"] / "wav")]
+    assert main(argv) == EXIT_DATA
+    assert f"output directory {out}: " in capsys.readouterr().err
+    assert out.read_text(encoding="utf-8") == "keep"
+
+
 def test_eval_missing_checkpoint_is_data_error(workspace, capsys):
     cfg = workspace["cfg"]
     assert main(["eval", "--config", str(cfg), "--out", str(workspace["root"] / "x"),
@@ -311,6 +369,29 @@ def test_eval_on_a_truncated_frames_sidecar_is_data_error(workspace, tmp_path, c
     assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e"),
                  "--checkpoint", str(workspace["run"] / "ckpt-epoch-1.spdp")]) == EXIT_DATA
     assert "frames.bin: frames sidecar is cut short" in capsys.readouterr().err
+
+
+def test_eval_on_a_frames_sidecar_cut_inside_a_frame_block_is_data_error(workspace, tmp_path,
+                                                                        capsys):
+    raw = (workspace["data"] / "frames.bin").read_bytes()
+    _, t0, feat_dim = struct.unpack_from("<3Q", raw)
+    frames = tmp_path / "frames.bin"
+    frames.write_bytes(raw[:24 + 2 * 8 * t0 * feat_dim + 5])   # inside the third block
+    cfg = tmp_path / "cut.cfg"
+    cfg.write_text(workspace["cfg"].read_text().replace(
+        f"frames = {workspace['data']}/frames.bin", f"frames = {frames}"), encoding="utf-8")
+    assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e"),
+                 "--checkpoint", str(workspace["run"] / "ckpt-epoch-1.spdp")]) == EXIT_DATA
+    assert (f"{frames}: frames sidecar is cut short in the frames of utterance 'utt-0-00002'"
+            in capsys.readouterr().err)
+
+
+def test_eval_with_other_dims_than_the_checkpoint_is_data_error(workspace, tmp_path, capsys):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(workspace["cfg"].read_text() + "enc_dim = 64\n", encoding="utf-8")
+    assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e"),
+                 "--checkpoint", str(workspace["run"] / "ckpt-epoch-1.spdp")]) == EXIT_DATA
+    assert "shape mismatch for 'serial.enc_conv1.weight'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n_dropped, missing", [
@@ -441,6 +522,16 @@ def test_filter_skips_a_wav_file_that_is_not_riff(workspace, tmp_path, capsys):
     assert "warning: skipping bogus.wav: " in capsys.readouterr().err
     counts = json.loads((out / "filter_counts.json").read_text())
     assert counts["skipped"] == 1 and counts["total"] == 21 and counts["readable"] == 20
+
+
+def test_filter_skip_warning_says_why_a_cut_header_is_unreadable(workspace, tmp_path, capsys):
+    wav_dir = tmp_path / "wav"
+    shutil.copytree(workspace["data"] / "wav", wav_dir)
+    (wav_dir / "cut.wav").write_bytes((wav_dir / "planted-0000.wav").read_bytes()[:30])
+    assert main(["filter", "--wav-dir", str(wav_dir), "--out", str(tmp_path / "out")]) == EXIT_OK
+    err = capsys.readouterr().err
+    assert f"warning: skipping cut.wav: {wav_dir / 'cut.wav'}: not a WAV file: " \
+        "the header is cut short" in err
 
 
 # Header patches: bytes 24-31 hold the sample rate and the byte rate; bytes

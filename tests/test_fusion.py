@@ -6,17 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spdp.fusion import (NO_TERMINATION, PARALLEL_ONLY_FALLBACK,
-                         ZERO_MASS_FALLBACK, FusionConfig, PredictionRecord,
-                         StyleMap, fuse, predict, serial_style_distribution,
+from spdp.fusion import (PARALLEL_ONLY_FALLBACK, ZERO_MASS_FALLBACK, FusionConfig,
+                         PredictionRecord, fuse, predict, serial_style_distribution,
                          total_loss)
 from spdp.parallel import ParallelPathConfig, ParallelPathModel
-from spdp.serial import SerialConfig, SerialModel
+from spdp.serial import NO_TERMINATION, SerialConfig, SerialModel
 from spdp.tensor import Tensor
 from spdp.vocab import build_vocab
 
 VOCAB = build_vocab()
-STYLE_MAP = StyleMap(VOCAB)
 
 
 # -- training loss ------------------------------------------------------------------
@@ -59,10 +57,10 @@ def test_total_loss_carries_gradient():
 
 def test_style_distribution_renormalizes():
     p_nt = np.zeros(len(VOCAB))
-    p_nt[STYLE_MAP.first_token_ids[0]] = 2 / 9
+    p_nt[VOCAB.first_token_ids[0]] = 2 / 9
     for i in range(1, 8):
-        p_nt[STYLE_MAP.first_token_ids[i]] = 1 / 9
-    p, flags = serial_style_distribution(p_nt, STYLE_MAP)
+        p_nt[VOCAB.first_token_ids[i]] = 1 / 9
+    p, flags = serial_style_distribution(p_nt, VOCAB)
     npt.assert_allclose(p, [2 / 9, 1 / 9, 1 / 9, 1 / 9, 1 / 9, 1 / 9, 1 / 9, 1 / 9])
     assert p.sum() == pytest.approx(1.0)
     assert flags == []
@@ -70,9 +68,9 @@ def test_style_distribution_renormalizes():
 
 def test_style_distribution_one_hot():
     p_nt = np.zeros(len(VOCAB))
-    p_nt[STYLE_MAP.first_token_ids[5]] = 0.4   # rest of the mass off-label
+    p_nt[VOCAB.first_token_ids[5]] = 0.4   # rest of the mass off-label
     p_nt[0] = 0.6
-    p, flags = serial_style_distribution(p_nt, STYLE_MAP)
+    p, flags = serial_style_distribution(p_nt, VOCAB)
     expected = np.zeros(8)
     expected[5] = 1.0
     npt.assert_allclose(p, expected)
@@ -82,7 +80,7 @@ def test_style_distribution_one_hot():
 def test_style_distribution_zero_mass_falls_back_uniform():
     p_nt = np.zeros(len(VOCAB))
     p_nt[0] = 1.0
-    p, flags = serial_style_distribution(p_nt, STYLE_MAP)
+    p, flags = serial_style_distribution(p_nt, VOCAB)
     npt.assert_allclose(p, np.full(8, 1 / 8))
     assert flags == [ZERO_MASS_FALLBACK]
 
@@ -196,7 +194,7 @@ def test_predict_produces_normalized_record():
     serial, parallel = tiny_models()
     rng = np.random.default_rng(2)
     frames = rng.normal(size=(1, 12, 8))
-    [rec] = predict(frames, serial, parallel, STYLE_MAP, FusionConfig(),
+    [rec] = predict(frames, serial, parallel, VOCAB, FusionConfig(),
                     VOCAB.prompt_pool[0])
     assert len(rec.p) == len(rec.q) == len(rec.final) == 8
     npt.assert_allclose(sum(rec.q), 1.0, atol=1e-9)
@@ -209,7 +207,7 @@ def test_predict_no_termination_falls_back_to_parallel():
     serial, parallel = tiny_models(max_decode_len=1)
     rng = np.random.default_rng(3)
     frames = rng.normal(size=(1, 12, 8))
-    [rec] = predict(frames, serial, parallel, STYLE_MAP, FusionConfig(),
+    [rec] = predict(frames, serial, parallel, VOCAB, FusionConfig(),
                     VOCAB.prompt_pool[0])
     assert NO_TERMINATION in rec.flags
     assert PARALLEL_ONLY_FALLBACK in rec.flags
@@ -229,5 +227,5 @@ def test_predict_empty_transcript_gives_no_record(monkeypatch):
 
     monkeypatch.setattr(serial, "generate_greedy", immediate_style_open)
     rng = np.random.default_rng(4)
-    assert predict(rng.normal(size=(1, 12, 8)), serial, parallel, STYLE_MAP,
+    assert predict(rng.normal(size=(1, 12, 8)), serial, parallel, VOCAB,
                    FusionConfig(), VOCAB.prompt_pool[0]) == [None]

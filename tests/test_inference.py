@@ -88,7 +88,7 @@ def reference_predict(model, frames):
         flags.append(PARALLEL_ONLY_FALLBACK)
         p, final, cls = np.full(8, 1 / 8), q.copy(), int(np.argmax(q))
     else:
-        p, p_flags = serial_style_distribution(p_nt, model.style_map)
+        p, p_flags = serial_style_distribution(p_nt, model.vocab)
         flags.extend(p_flags)
         final, cls = fuse(p, q, cfg)
     return PredictionRecord(transcript=list(transcript), p=list(map(float, p)),
@@ -148,7 +148,7 @@ def assert_generation_matches_reference(serial, prompt, utts):
 
 
 def predict_args(model):
-    return (model.serial, model.parallel, model.style_map, model.run_cfg.fusion_config(),
+    return (model.serial, model.parallel, model.vocab, model.run_cfg.fusion_config(),
             model.vocab.prompt_pool[0])
 
 

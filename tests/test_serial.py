@@ -47,6 +47,18 @@ def test_vocab_round_trip(tmp_path):
     assert again.id_to_token == VOCAB.id_to_token
 
 
+@pytest.mark.parametrize("row", ["7 gnome", "x\tgnome"], ids=["no-tab", "non-integer-id"])
+def test_vocab_load_names_the_file_and_line_of_a_malformed_row(tmp_path, row):
+    path = tmp_path / "vocab.tsv"
+    VOCAB.save(path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    lines[6] = row
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as err:
+        Vocab.load(path)
+    assert str(err.value).startswith(f"{path}:7: expected")
+
+
 def test_vocab_encode_decode_inverse():
     words = STYLE_LABELS[2].split()
     assert VOCAB.decode(VOCAB.encode(words)) == words

@@ -220,6 +220,20 @@ def test_matmul_gradient_batched():
     assert max(report.values()) < 1e-6
 
 
+def test_mul_gradient_sums_over_a_broadcast_size_one_axis():
+    rng = np.random.default_rng(6)
+    a = Tensor(rng.normal(size=(4, 1)), requires_grad=True)
+    b = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    w = rng.normal(size=(4, 3))
+
+    def loss():
+        return T.tsum(T.mul(T.mul(a, b), w))
+
+    report = grad_check(loss, {"a": a, "b": b})
+    assert max(report.values()) < 1e-6
+    assert a.grad.shape == (4, 1)
+
+
 def test_matmul_shared_weight_gradient_is_the_stacked_sum():
     rng = np.random.default_rng(15)
     a = Tensor(rng.normal(size=(3, 4, 5, 6)), requires_grad=True)
