@@ -23,8 +23,8 @@ from .config import PROFILES, RunConfig, make_run_config, parse_config_file
 from .corpus import generate_corpus, load_corpus, save_corpus
 from .fusion import total_loss
 from .gradcheck import grad_check
-from .trainer import (NO_LINGUISTIC_EVIDENCE, SpdpModel, evaluate, resume_from,
-                      train, write_confusion_csv)
+from .trainer import (NO_LINGUISTIC_EVIDENCE, MetricsReport, SpdpModel, evaluate,
+                      resume_from, train, write_confusion_csv)
 from .vocab import N_CLASSES, Vocab, build_vocab
 
 EXIT_OK = 0
@@ -206,30 +206,29 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _restored_model(cfg: RunConfig, checkpoint: str) -> SpdpModel:
-    if not Path(checkpoint).is_file():
-        raise DataError(f"checkpoint not found: {checkpoint}")
-    model = SpdpModel(cfg, _load_vocab(cfg))
-    restore_params(model.params(), load_checkpoint(checkpoint))
-    return model
-
-
-def cmd_eval(args: argparse.Namespace) -> int:
+def _evaluate_checkpoint(args: argparse.Namespace) -> tuple[Path, MetricsReport]:
+    """Evaluate ``--checkpoint`` on ``--split``, writing predictions.jsonl under --out."""
     cfg = _load_run_config(args)
     utts = [u for u in _require_corpus(cfg) if u.split == args.split]
     if not utts:
         raise DataError(f"split {args.split!r} is empty")
-    if not Path(args.checkpoint).is_file():
+    checkpoint = Path(args.checkpoint)
+    if not checkpoint.is_file():
         raise DataError(f"checkpoint not found: {args.checkpoint}")
-    before = hashlib.sha256(Path(args.checkpoint).read_bytes()).hexdigest()
-    model = _restored_model(cfg, args.checkpoint)
+    before = hashlib.sha256(checkpoint.read_bytes()).hexdigest()
+    model = SpdpModel(cfg, _load_vocab(cfg))
+    restore_params(model.params(), load_checkpoint(checkpoint))
     out = _out_dir(cfg)
     report = evaluate(model, utts, records_out=out / "predictions.jsonl")
+    if hashlib.sha256(checkpoint.read_bytes()).hexdigest() != before:
+        raise DataError("checkpoint changed during evaluation")
+    return out, report
+
+
+def cmd_eval(args: argparse.Namespace) -> int:
+    out, report = _evaluate_checkpoint(args)
     write_confusion_csv(report, out / "confusion.csv")
     (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    after = hashlib.sha256(Path(args.checkpoint).read_bytes()).hexdigest()
-    if before != after:
-        raise DataError("checkpoint changed during evaluation")
     print(f"eval n={report.n} fused={report.fused_accuracy:.4f} "
           f"serial={report.serial_accuracy:.4f} "
           f"parallel={report.parallel_accuracy:.4f} "
@@ -238,13 +237,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    cfg = _load_run_config(args)
-    utts = [u for u in _require_corpus(cfg) if u.split == args.split]
-    if not utts:
-        raise DataError(f"split {args.split!r} is empty")
-    model = _restored_model(cfg, args.checkpoint)
-    out = _out_dir(cfg)
-    report = evaluate(model, utts, records_out=out / "predictions.jsonl")
+    out, report = _evaluate_checkpoint(args)
     written = report.n - report.fallback_counts.get(NO_LINGUISTIC_EVIDENCE, 0)
     print(f"wrote {written} prediction records to {out / 'predictions.jsonl'}")
     return EXIT_OK

@@ -162,12 +162,13 @@ def load_corpus(manifest_path: str | Path, frames_path: str | Path) -> list[Utte
             line = line.strip()
             if not line:
                 continue
-            rec = _manifest_record(line, f"{manifest_path} line {lineno}")
+            where = f"{manifest_path} line {lineno}"
+            rec = _manifest_record(line, where)
             offset = rec["frames_offset"]
             if (type(offset) is not int or block == 0
                     or offset not in range(header, header + count * block, block)):
-                raise ValueError(f"utterance {rec['id']!r}: frames_offset {offset!r} "
-                                 "is not a frame block of the sidecar")
+                raise ValueError(f"{where}: utterance {rec['id']!r}: frames_offset "
+                                 f"{offset!r} is not a frame block of the sidecar")
             if offset + block > len(blob):
                 raise ValueError(f"{frames_path}: frames sidecar is cut short in the "
                                  f"frames of utterance {rec['id']!r}")
@@ -181,5 +182,6 @@ def load_corpus(manifest_path: str | Path, frames_path: str | Path) -> list[Utte
                 split=rec["split"],
             ))
     if len(utts) != count:
-        raise ValueError("manifest and frames sidecar disagree on utterance count")
+        raise ValueError(f"manifest {manifest_path} ({len(utts)} records) and frames sidecar "
+                         f"{frames_path} (header count {count}) disagree on utterance count")
     return utts

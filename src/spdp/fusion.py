@@ -108,16 +108,14 @@ def predict(frames: np.ndarray, serial: SerialModel, parallel: ParallelPathModel
         raise ValueError("predict takes a (B, T, F) batch of frames")
     records: list[PredictionRecord | None] = [None] * frames.shape[0]
     with T.no_grad():
-        frame_mask = np.ones(frames.shape[:2], dtype=bool)
-        enc_last, emb_a, enc_mask = serial.encode(frames, frame_mask)
-        audio_prefix, audio_mask = serial.adapt(enc_last, enc_mask)
-        gen = serial.generate_greedy(audio_prefix, audio_mask, prompt)
+        enc_last, emb_a = serial.encode(frames)
+        gen = serial.generate_greedy(serial.adapt(enc_last), prompt)
         rows = [i for i, transcript in enumerate(gen.transcript) if transcript]
         if not rows:
             return records
         s_len = max(len(gen.transcript[i]) for i in rows)
         out = parallel.forward(emb_a.data[rows], gen.emb_t[rows, :s_len],
-                               gen.emb_t_mask[rows, :s_len], enc_mask[rows])
+                               gen.emb_t_mask[rows, :s_len])
     for i, log_q in zip(rows, out.log_probs.data):
         q = np.exp(log_q)
         flags = list(gen.flags[i])

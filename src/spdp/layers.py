@@ -173,13 +173,6 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
     return table
 
 
-def key_padding_mask(valid: np.ndarray) -> np.ndarray:
-    """(B, T_k) boolean validity -> additive (B, 1, 1, T_k) 0/-inf mask."""
-    mask = np.zeros(valid.shape)
-    mask[~valid.astype(bool)] = -np.inf
-    return mask[:, None, None, :]
-
-
 def causal_mask(t: int, past: int = 0) -> np.ndarray:
     """Additive (1, 1, t, past + t) mask for t queries that follow ``past``
     cached positions: query j sees keys 0..past + j only."""

@@ -4,7 +4,7 @@ Stages, in order: project both modalities into a shared D-dim space,
 align text onto audio frames by scaled dot-product attention, score the
 pair in N decoupled subspaces by cosine similarity, append a tanh semantic
 reference branch, and classify the concatenated per-frame representation
-with a small pre-norm Transformer ending in masked mean pooling and
+with a small pre-norm Transformer ending in mean pooling over frames and
 LogSoftmax.
 """
 
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .layers import (N_HEADS, Linear, LayerNorm, Module, TransformerLayer,
-                     key_padding_mask, sinusoidal_positions)
+                     sinusoidal_positions)
 from .tensor import Tensor
 from .vocab import N_CLASSES
 
@@ -112,28 +112,22 @@ class ParallelPathModel(Module):
 
     # -- stage 5: Transformer classifier -----------------------------------------
 
-    def classify(self, h_cm: Tensor, frame_mask: np.ndarray) -> Tensor:
-        frame_mask = np.asarray(frame_mask, dtype=bool)
-        counts = frame_mask.sum(axis=1)
-        if (counts == 0).any():
-            raise ValueError("zero valid frames")
-        x = T.add(h_cm, sinusoidal_positions(h_cm.shape[1], self.cfg.rep_dim))
-        attn_mask = key_padding_mask(frame_mask)
+    def classify(self, h_cm: Tensor) -> Tensor:
+        n_frames = h_cm.shape[1]
+        x = T.add(h_cm, sinusoidal_positions(n_frames, self.cfg.rep_dim))
         for layer in self.classifier:
-            x = layer(x, mask=attn_mask)
-        x = self.final_norm(x)
-        weights = frame_mask.astype(np.float64)[:, :, None]
-        pooled = T.div(T.tsum(T.mul(x, weights), axis=1), counts[:, None].astype(np.float64))
+            x = layer(x)
+        pooled = T.div(T.tsum(self.final_norm(x), axis=1), float(n_frames))
         return T.log_softmax(self.head(pooled), axis=-1)
 
     # -- full pipeline -------------------------------------------------------------
 
-    def forward(self, emb_a, emb_t, text_mask: np.ndarray, frame_mask: np.ndarray) -> ParallelPathOutput:
+    def forward(self, emb_a, emb_t, text_mask: np.ndarray) -> ParallelPathOutput:
         h_a, h_t = self.project_bimodal(emb_a, emb_t)
         h_t_al, _ = self.align(h_a, h_t, text_mask)
         s = self.subspace_similarities(h_a, h_t_al)
         h_cm = self.build_representation(s, h_t_al)
-        return ParallelPathOutput(log_probs=self.classify(h_cm, frame_mask), h_cm=h_cm)
+        return ParallelPathOutput(log_probs=self.classify(h_cm), h_cm=h_cm)
 
     def loss(self, out: ParallelPathOutput, labels: np.ndarray) -> Tensor:
         return T.class_nll(out.log_probs, labels)

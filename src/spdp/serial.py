@@ -19,8 +19,7 @@ import numpy as np
 
 from . import tensor as T
 from .layers import (Conv1d, Embedding, KVCache, LayerNorm, Linear, Module,
-                     TransformerLayer, causal_mask, key_padding_mask,
-                     sinusoidal_positions)
+                     TransformerLayer, causal_mask, sinusoidal_positions)
 from .tensor import Tensor
 from .vocab import EOS_ID, PAD_ID, STYLE_OPEN_ID
 
@@ -61,7 +60,6 @@ class DecoderCache:
     """What a cached decode keeps between ``decode_hidden`` calls (no_grad only)."""
     layers: list[KVCache]            # one per decoder layer
     positions: np.ndarray            # position table covering the whole decode
-    valid: np.ndarray                # (B, positions so far) key validity
 
 
 class SerialModel(Module):
@@ -81,81 +79,68 @@ class SerialModel(Module):
 
     # -- encoder ------------------------------------------------------------------
 
-    def encode(self, frames, frame_mask: np.ndarray) -> tuple[Tensor, Tensor, np.ndarray]:
-        """Returns (enc_last, emb_a, downsampled mask).
-
-        Masked frames are zeroed on entry so padding content can never leak
-        into valid positions through the conv receptive field.
-        """
+    def encode(self, frames) -> tuple[Tensor, Tensor]:
+        """Returns (enc_last, emb_a) for a (B, T, F) batch of equal-length rows."""
         frames = T.as_tensor(frames)
         if frames.shape[1] == 0:
             raise ValueError("encoder requires at least one frame")
-        frame_mask = np.asarray(frame_mask, dtype=bool)
-        x = T.mul(frames, frame_mask.astype(np.float64)[:, :, None])
-        x = T.gelu(self.enc_conv1(x))
+        x = T.gelu(self.enc_conv1(frames))
         x = T.gelu(self.enc_conv2(x))
-        ds_mask = frame_mask[:, ::DOWNSAMPLE]
-        attn_mask = key_padding_mask(ds_mask)
         taps: list[Tensor] = []
         for layer in self.enc:
-            x = layer(x, mask=attn_mask)
+            x = layer(x)
             taps.append(x)
-        emb_a = T.concat(taps, axis=-1)
-        return x, emb_a, ds_mask
+        return x, T.concat(taps, axis=-1)
 
     # -- adaptor ------------------------------------------------------------------
 
-    def adapt(self, enc_last: Tensor, mask: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    def adapt(self, enc_last: Tensor) -> Tensor:
+        """The audio prefix the decoder reads."""
         x = T.gelu(self.ad_conv1(enc_last))
         x = T.gelu(self.ad_conv2(x))
         x = T.gelu(self.ad_conv3(x))
-        ds_mask = np.asarray(mask, dtype=bool)[:, ::DOWNSAMPLE]
-        attn_mask = key_padding_mask(ds_mask)
         for layer in self.ad:
-            x = layer(x, mask=attn_mask)
-        return x, ds_mask
+            x = layer(x)
+        return x
 
     # -- decoder ------------------------------------------------------------------
 
-    def decode_hidden(self, audio_prefix: Tensor | None, audio_mask: np.ndarray | None,
-                      text_ids: np.ndarray, text_valid: np.ndarray,
+    def decode_hidden(self, audio_prefix: Tensor | None, text_ids: np.ndarray,
                       cache: DecoderCache | None = None) -> Tensor:
         """Last-layer hidden states over the text span of [audio | text].
 
         Attention is causal over the concatenated sequence; since the audio
         prefix precedes all text, every text position sees the full prefix
-        while text remains causal among itself. Padded keys are removed.
+        while text remains causal among itself.
 
         With a cache, every layer also keeps its keys and values. The first
         call on an empty cache runs [audio | text]; each later call passes
         ``audio_prefix=None`` and only the next text positions, which attend
         to everything cached before them.
         """
-        past = 0 if cache is None else cache.valid.shape[1]
+        past = 0 if cache is None else cache.layers[0].length
         if (audio_prefix is None) != (past > 0):
             raise ValueError("the audio prefix goes into the first decoder call only")
         x = self.embed(text_ids)
-        valid = text_valid.astype(bool)
         a_len = 0
         if audio_prefix is not None:
-            a_len = audio_mask.shape[1]
+            a_len = audio_prefix.shape[1]
             x = T.concat([audio_prefix, x], axis=1)
-            valid = np.concatenate([audio_mask.astype(bool), valid], axis=1)
         total = past + x.shape[1]
         layer_caches = [None] * len(self.dec)
         if cache is None:
             table = sinusoidal_positions(total, self.cfg.dec_dim)
         else:
             table, layer_caches = cache.positions, cache.layers
-            valid = cache.valid = np.concatenate([cache.valid, valid], axis=1)
         x = T.add(x, table[past:total])
-        mask = causal_mask(x.shape[1], past) + key_padding_mask(valid)
+        # Text padding ends every row, so causality keeps it from every real position.
+        mask = causal_mask(x.shape[1], past)
         for layer, kv in zip(self.dec, layer_caches):
             x = layer(x, mask=mask, cache=kv)
         x = self.dec_norm(x)
         return T.take(x, (slice(None), slice(a_len, total)))
 
-    def teacher_forced_loss(self, audio_prefix: Tensor, audio_mask: np.ndarray,
+    def teacher_forced_loss(self, audio_prefix: Tensor,
                             prompts: list[list[int]], targets: list[list[int]],
                             transcript_lens: list[int]
                             ) -> tuple[Tensor, Tensor, np.ndarray]:
@@ -172,22 +157,19 @@ class SerialModel(Module):
         text_rows = [list(p) + list(t[:-1]) for p, t in zip(prompts, targets)]
         t_len = max(len(row) for row in text_rows)
         text_ids = np.full((batch, t_len), PAD_ID, dtype=np.int64)
-        text_valid = np.zeros((batch, t_len), dtype=bool)
         labels = np.zeros((batch, t_len), dtype=np.int64)
         loss_mask = np.zeros((batch, t_len), dtype=bool)
         for i, (p, tgt, row) in enumerate(zip(prompts, targets, text_rows)):
             text_ids[i, :len(row)] = row
-            text_valid[i, :len(row)] = True
             start = len(p) - 1
             labels[i, start:start + len(tgt)] = tgt
             loss_mask[i, start:start + len(tgt)] = True
-        hidden = self.decode_hidden(audio_prefix, audio_mask, text_ids, text_valid)
+        hidden = self.decode_hidden(audio_prefix, text_ids)
         loss = T.token_cross_entropy(self.head(hidden), labels, loss_mask)
         emb_t, emb_t_mask = _gather_transcript(hidden, prompts, transcript_lens)
         return loss, emb_t, emb_t_mask
 
-    def generate_greedy(self, audio_prefix: Tensor, audio_mask: np.ndarray,
-                        prompt: list[int]) -> GenerationResult:
+    def generate_greedy(self, audio_prefix: Tensor, prompt: list[int]) -> GenerationResult:
         """Deterministic greedy decoding of B rows together, with a K/V cache.
 
         One cached pass over [audio | prompt], then one cached step per
@@ -197,7 +179,7 @@ class SerialModel(Module):
         from the hidden states of the fed tokens, so a row still running at
         the end feeds its last token once more.
         """
-        batch, a_len = audio_mask.shape
+        batch, a_len = audio_prefix.shape[:2]
         max_len = self.cfg.max_decode_len
         tokens: list[list[int]] = [[] for _ in range(batch)]
         p_nt: list[np.ndarray | None] = [None] * batch
@@ -206,11 +188,9 @@ class SerialModel(Module):
         total = a_len + len(prompt) + max_len
         with T.no_grad():
             cache = DecoderCache([KVCache(total) for _ in self.dec],
-                                 sinusoidal_positions(total, self.cfg.dec_dim),
-                                 np.zeros((batch, 0), dtype=bool))
+                                 sinusoidal_positions(total, self.cfg.dec_dim))
             ids = np.tile(np.asarray(prompt, dtype=np.int64), (batch, 1))
-            last = self.decode_hidden(audio_prefix, audio_mask, ids,
-                                      np.ones(ids.shape, dtype=bool), cache).data[:, -1:]
+            last = self.decode_hidden(audio_prefix, ids, cache).data[:, -1:]
             for step in range(max_len):
                 dist = T.softmax(self.head(last), axis=-1).data[:, 0]
                 nxt = dist.argmax(axis=-1)
@@ -221,8 +201,7 @@ class SerialModel(Module):
                 running &= nxt != EOS_ID
                 if not running.any():
                     break
-                last = self.decode_hidden(None, None, nxt[:, None],
-                                          np.ones((batch, 1), dtype=bool), cache).data
+                last = self.decode_hidden(None, nxt[:, None], cache).data
                 states[:, step] = last[:, 0]
         transcripts: list[list[int]] = []
         flags: list[list[str]] = []

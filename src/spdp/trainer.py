@@ -49,12 +49,10 @@ class SpdpModel(Module):
     def batch_losses(self, frames: np.ndarray, labels: np.ndarray,
                      prompts: list[list[int]], targets: list[list[int]],
                      transcript_lens: list[int]) -> tuple[Tensor, Tensor]:
-        frame_mask = np.ones(frames.shape[:2], dtype=bool)
-        enc_last, emb_a, enc_mask = self.serial.encode(frames, frame_mask)
-        audio_prefix, audio_mask = self.serial.adapt(enc_last, enc_mask)
+        enc_last, emb_a = self.serial.encode(frames)
         l_serial, emb_t, emb_t_mask = self.serial.teacher_forced_loss(
-            audio_prefix, audio_mask, prompts, targets, transcript_lens)
-        out = self.parallel.forward(emb_a, emb_t, emb_t_mask, enc_mask)
+            self.serial.adapt(enc_last), prompts, targets, transcript_lens)
+        out = self.parallel.forward(emb_a, emb_t, emb_t_mask)
         l_parallel = self.parallel.loss(out, labels)
         return l_serial, l_parallel
 

@@ -125,28 +125,17 @@ class Vocab:
                     raise ValueError(f"{path}:{lineno}: expected '<id>\\t<token>', "
                                      f"got {line!r}") from None
         rows.sort()
-        if [i for i, _ in rows] != list(range(len(rows))):
-            raise ValueError("vocabulary ids must be contiguous from 0")
+        for want, (ident, _) in enumerate(rows):
+            if ident != want:
+                why = (f"id {ident} is repeated" if 0 <= ident < want
+                       else f"expected id {want}, found {ident}")
+                raise ValueError(f"{path}: vocabulary ids must be contiguous from 0; {why}")
         return cls([tok for _, tok in rows])
 
 
 def build_vocab() -> Vocab:
     """The canonical vocabulary: reserved ids, label words, prompts, blocks."""
-    tokens = [PAD_TOKEN, EOS_TOKEN, STYLE_OPEN_TOKEN, STYLE_CLOSE_TOKEN]
-    seen = set(tokens)
-    for label in STYLE_LABELS:
-        for word in label.split():
-            if word not in seen:
-                tokens.append(word)
-                seen.add(word)
-    for prompt in PROMPT_TEXTS:
-        for word in prompt.split():
-            if word not in seen:
-                tokens.append(word)
-                seen.add(word)
-    for block in CLASS_WORD_BLOCKS:
-        for word in block:
-            if word not in seen:
-                tokens.append(word)
-                seen.add(word)
-    return Vocab(tokens)
+    words = [w for text in STYLE_LABELS + PROMPT_TEXTS for w in text.split()]
+    words += [w for block in CLASS_WORD_BLOCKS for w in block]
+    reserved = [PAD_TOKEN, EOS_TOKEN, STYLE_OPEN_TOKEN, STYLE_CLOSE_TOKEN]
+    return Vocab(list(dict.fromkeys(reserved + words)))     # first occurrence keeps its place

@@ -72,13 +72,12 @@ def test_criterion_2_full_scale_shapes():
     emb_a = rng.normal(size=(1, t_frames, acfg.emb_a_dim))
     emb_t = rng.normal(size=(1, s_tokens, acfg.emb_t_dim))
     text_mask = np.ones((1, s_tokens), dtype=bool)
-    frame_mask = np.ones((1, t_frames), dtype=bool)
 
     h_a, h_t = model.project_bimodal(emb_a, emb_t)
     h_t_al, _ = model.align(h_a, h_t, text_mask)
     s = model.subspace_similarities(h_a, h_t_al)
     h_cm = model.build_representation(s, h_t_al)
-    log_probs = model.classify(h_cm, frame_mask)
+    log_probs = model.classify(h_cm)
 
     shapes = {
         "input emb_a": (emb_a.shape, (1, t_frames, 3072)),
@@ -203,10 +202,8 @@ def test_criterion_6_serial_paradigm_contract(trained_system):
     with T.no_grad():
         for lo in range(0, len(utts), batch):
             frames = np.stack([u.frames for u in utts[lo:lo + batch]])
-            mask = np.ones(frames.shape[:2], dtype=bool)
-            enc_last, _, ds = serial.encode(frames, mask)
-            prefix, pmask = serial.adapt(enc_last, ds)
-            gen = serial.generate_greedy(prefix, pmask, prompt)
+            enc_last, _ = serial.encode(frames)
+            gen = serial.generate_greedy(serial.adapt(enc_last), prompt)
             for toks, flags in zip(gen.tokens, gen.flags):
                 if "NoTermination" in flags:
                     no_termination += 1

@@ -305,6 +305,26 @@ def test_eval_missing_checkpoint_is_data_error(workspace, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_checkpoint_changed_during_evaluation_is_data_error(workspace, tmp_path, monkeypatch,
+                                                            capsys, command):
+    import spdp.cli
+    ckpt = tmp_path / "ckpt.spdp"
+    shutil.copy(workspace["run"] / "ckpt-epoch-1.spdp", ckpt)
+    real = spdp.cli.evaluate
+
+    def evaluate_then_touch(*args, **kwargs):
+        report = real(*args, **kwargs)
+        with open(ckpt, "ab") as fh:
+            fh.write(b"\0")
+        return report
+
+    monkeypatch.setattr(spdp.cli, "evaluate", evaluate_then_touch)
+    assert main([command, "--config", str(workspace["cfg"]), "--out", str(tmp_path / "o"),
+                 "--checkpoint", str(ckpt)]) == EXIT_DATA
+    assert "checkpoint changed during evaluation" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command, key, message", [
     ("train", "manifest", "manifest file not found"),
     ("eval", "frames", "frames file not found"),
@@ -465,6 +485,32 @@ def test_train_on_an_empty_train_transcript_is_data_error(workspace, tmp_path, c
     assert not out.exists()
 
 
+def test_train_on_a_manifest_one_record_short_names_both_files_and_counts(workspace, tmp_path,
+                                                                         capsys):
+    lines = (workspace["data"] / "manifest.jsonl").read_text().splitlines(keepends=True)
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(lines[:-1]), encoding="utf-8")
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text(workspace["cfg"].read_text().replace(
+        f"manifest = {workspace['data']}/manifest.jsonl", f"manifest = {manifest}"),
+        encoding="utf-8")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert (f"manifest {manifest} ({len(lines) - 1} records) and frames sidecar "
+            f"{workspace['data']}/frames.bin (header count {len(lines)}) disagree") in err
+
+
+def test_train_on_a_bad_frames_offset_names_the_manifest_line(workspace, tmp_path, capsys):
+    def edit(rec):
+        rec["frames_offset"] += 8
+
+    cfg = _config_with_edited_record(workspace, tmp_path, 4, edit)
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'manifest.jsonl'} line 5: utterance " in err
+    assert "frames_offset" in err
+
+
 def _config_with_edited_record(workspace, tmp_path, index, edit):
     """A copy of the workspace config whose manifest has record ``index`` edited."""
     lines = (workspace["data"] / "manifest.jsonl").read_text().splitlines()
@@ -491,6 +537,23 @@ def test_train_on_a_vocab_file_cut_at_a_line_boundary_is_data_error(workspace, t
         encoding="utf-8")
     assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == EXIT_DATA
     assert "vocabulary has no token 'fairy'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row, why", [("1\tdup", "id 1 is repeated"),
+                                      ("4\tgap", "expected id 3, found 4")],
+                         ids=["duplicated", "missing"])
+def test_train_on_a_vocab_file_with_a_duplicated_or_missing_id_names_file_and_id(
+        workspace, tmp_path, capsys, row, why):
+    vocab = tmp_path / "vocab.tsv"
+    lines = (workspace["data"] / "vocab.tsv").read_text().splitlines(keepends=True)
+    vocab.write_text("".join(lines[:3]) + row + "\n", encoding="utf-8")
+    cfg = tmp_path / "gap.cfg"
+    cfg.write_text(workspace["cfg"].read_text().replace(
+        f"vocab_file = {workspace['data']}/vocab.tsv", f"vocab_file = {vocab}"),
+        encoding="utf-8")
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{vocab}: vocabulary ids must be contiguous from 0; {why}" in err
 
 
 # -- filter -----------------------------------------------------------------------------------

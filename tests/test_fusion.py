@@ -220,7 +220,7 @@ def test_predict_empty_transcript_gives_no_record(monkeypatch):
     serial, parallel = tiny_models()
     from spdp.serial import GenerationResult
 
-    def immediate_style_open(audio_prefix, audio_mask, prompt):
+    def immediate_style_open(audio_prefix, prompt):
         return GenerationResult(tokens=[[2]], p_nt=[np.full(len(VOCAB), 1 / len(VOCAB))],
                                 transcript=[[]], flags=[[]], emb_t=np.zeros((1, 0, 24)),
                                 emb_t_mask=np.zeros((1, 0), dtype=bool))

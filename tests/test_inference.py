@@ -30,7 +30,7 @@ TOL = 1e-12
 # -- the reference: per utterance, full recompute ------------------------------------------
 
 
-def reference_generate(serial, audio_prefix, audio_mask, prompt):
+def reference_generate(serial, audio_prefix, prompt):
     """(tokens, p_nt, transcript, emb_t (1, K, d) or None, flags) for one utterance."""
     generated = []
     p_nt = None
@@ -38,8 +38,7 @@ def reference_generate(serial, audio_prefix, audio_mask, prompt):
         for _ in range(serial.cfg.max_decode_len):
             row = list(prompt) + generated
             ids = np.asarray([row], dtype=np.int64)
-            hidden = serial.decode_hidden(audio_prefix, audio_mask, ids,
-                                          np.ones(ids.shape, dtype=bool))
+            hidden = serial.decode_hidden(audio_prefix, ids)
             logits = serial.head(T.take(hidden, (slice(None), slice(len(row) - 1, len(row)))))
             dist = T.softmax(logits, axis=-1).data[0, 0]
             if generated and generated[-1] == STYLE_OPEN_ID and p_nt is None:
@@ -58,31 +57,27 @@ def reference_generate(serial, audio_prefix, audio_mask, prompt):
         emb_t = None
         if transcript:
             ids = np.asarray([list(prompt) + generated], dtype=np.int64)
-            hidden = serial.decode_hidden(audio_prefix, audio_mask, ids,
-                                          np.ones(ids.shape, dtype=bool))
+            hidden = serial.decode_hidden(audio_prefix, ids)
             emb_t = hidden.data[:, len(prompt):len(prompt) + len(transcript)]
     return generated, p_nt, transcript, emb_t, flags
 
 
 def encode_one(serial, frames):
     with T.no_grad():
-        mask = np.ones((1, frames.shape[0]), dtype=bool)
-        enc_last, emb_a, enc_mask = serial.encode(frames[None], mask)
-        prefix, pmask = serial.adapt(enc_last, enc_mask)
-    return emb_a, enc_mask, prefix, pmask
+        enc_last, emb_a = serial.encode(frames[None])
+        return emb_a, serial.adapt(enc_last)
 
 
 def reference_predict(model, frames):
     """The record of one utterance, or None when it has no transcript."""
     cfg = model.run_cfg.fusion_config()
-    emb_a, enc_mask, prefix, pmask = encode_one(model.serial, frames)
+    emb_a, prefix = encode_one(model.serial, frames)
     _, p_nt, transcript, emb_t, flags = reference_generate(
-        model.serial, prefix, pmask, model.vocab.prompt_pool[0])
+        model.serial, prefix, model.vocab.prompt_pool[0])
     if not transcript:
         return None
     with T.no_grad():
-        out = model.parallel.forward(emb_a, emb_t, np.ones((1, len(transcript)), dtype=bool),
-                                     enc_mask)
+        out = model.parallel.forward(emb_a, emb_t, np.ones((1, len(transcript)), dtype=bool))
     q = np.exp(out.log_probs.data[0])
     if p_nt is None:
         flags.append(PARALLEL_ONLY_FALLBACK)
@@ -122,17 +117,15 @@ def trained(tmp_path_factory):
 def batch_prefix(serial, utts):
     with T.no_grad():
         frames = np.stack([u.frames for u in utts])
-        enc_last, _, enc_mask = serial.encode(frames, np.ones(frames.shape[:2], dtype=bool))
-        return serial.adapt(enc_last, enc_mask)
+        return serial.adapt(serial.encode(frames)[0])
 
 
 def assert_generation_matches_reference(serial, prompt, utts):
-    gen = serial.generate_greedy(*batch_prefix(serial, utts), prompt)
+    gen = serial.generate_greedy(batch_prefix(serial, utts), prompt)
     assert len(gen.tokens) == len(utts)
     for i, u in enumerate(utts):
-        _, _, prefix, pmask = encode_one(serial, u.frames)
-        tokens, p_nt, transcript, emb_t, flags = reference_generate(
-            serial, prefix, pmask, prompt)
+        _, prefix = encode_one(serial, u.frames)
+        tokens, p_nt, transcript, emb_t, flags = reference_generate(serial, prefix, prompt)
         assert gen.tokens[i] == tokens
         assert gen.transcript[i] == transcript
         assert gen.flags[i] == flags
@@ -169,7 +162,7 @@ def test_no_termination_row_next_to_terminating_rows(trained, monkeypatch):
     utts, prompt = test[:16], model.vocab.prompt_pool[0]
     # "<" is at index len(transcript); cut the decode just before the latest one
     opens = [len(t) for t in
-             model.serial.generate_greedy(*batch_prefix(model.serial, utts), prompt).transcript]
+             model.serial.generate_greedy(batch_prefix(model.serial, utts), prompt).transcript]
     assert min(opens) < max(opens)
     monkeypatch.setattr(model.serial.cfg, "max_decode_len", max(opens))
     gen = assert_generation_matches_reference(model.serial, prompt, utts)
@@ -188,23 +181,20 @@ def test_no_termination_row_next_to_terminating_rows(trained, monkeypatch):
 def test_cached_decode_matches_full_decode_on_every_position(trained):
     model, test = trained
     serial, prompt = model.serial, model.vocab.prompt_pool[0]
-    prefix, pmask = batch_prefix(serial, test[:3])
+    prefix = batch_prefix(serial, test[:3])
     ids = np.asarray([prompt + [10, 20, 30, 40]] * 3, dtype=np.int64)
     with T.no_grad():
-        full = serial.decode_hidden(prefix, pmask, ids, np.ones(ids.shape, dtype=bool)).data
+        full = serial.decode_hidden(prefix, ids).data
         cache = DecoderCache([KVCache(64) for _ in serial.dec],
-                             sinusoidal_positions(64, serial.cfg.dec_dim),
-                             np.zeros((3, 0), dtype=bool))
+                             sinusoidal_positions(64, serial.cfg.dec_dim))
         p = len(prompt)
-        parts = [serial.decode_hidden(prefix, pmask, ids[:, :p],
-                                      np.ones((3, p), dtype=bool), cache).data]
+        parts = [serial.decode_hidden(prefix, ids[:, :p], cache).data]
         for j in range(p, ids.shape[1]):
-            parts.append(serial.decode_hidden(None, None, ids[:, j:j + 1],
-                                              np.ones((3, 1), dtype=bool), cache).data)
+            parts.append(serial.decode_hidden(None, ids[:, j:j + 1], cache).data)
     npt.assert_allclose(np.concatenate(parts, axis=1), full, rtol=0, atol=TOL)
     with pytest.raises(ValueError, match="first decoder call only"):
         with T.no_grad():
-            serial.decode_hidden(prefix, pmask, ids[:, :1], np.ones((3, 1), dtype=bool), cache)
+            serial.decode_hidden(prefix, ids[:, :1], cache)
 
 
 def test_kv_cache_is_refused_with_gradients_on():
@@ -251,8 +241,8 @@ def test_empty_transcript_row_keeps_the_other_records(trained, monkeypatch):
     utts = test[:4]
     real = model.serial.generate_greedy
 
-    def drop_row_1(audio_prefix, audio_mask, prompt):
-        gen = real(audio_prefix, audio_mask, prompt)
+    def drop_row_1(audio_prefix, prompt):
+        gen = real(audio_prefix, prompt)
         gen.transcript[1] = []
         gen.emb_t_mask[1] = False
         gen.emb_t[1] = 0.0

@@ -26,8 +26,7 @@ def random_inputs(cfg, b=2, t=6, s=4, seed=11):
     emb_a = rng.normal(size=(b, t, cfg.emb_a_dim))
     emb_t = rng.normal(size=(b, s, cfg.emb_t_dim))
     text_mask = np.ones((b, s), dtype=bool)
-    frame_mask = np.ones((b, t), dtype=bool)
-    return emb_a, emb_t, text_mask, frame_mask
+    return emb_a, emb_t, text_mask
 
 
 # -- bimodal projection ----------------------------------------------------------
@@ -50,7 +49,7 @@ def test_project_rejects_wrong_input_dim():
 
 def test_project_outputs_are_row_normalized():
     model = make_model()
-    emb_a, emb_t, _, _ = random_inputs(model.cfg)
+    emb_a, emb_t, _ = random_inputs(model.cfg)
     h_a, h_t = model.project_bimodal(emb_a, emb_t)
     assert h_a.shape == (2, 6, 16) and h_t.shape == (2, 4, 16)
     for h in (h_a.data, h_t.data):
@@ -191,29 +190,9 @@ def test_classify_log_probs_normalized():
     model = make_model()
     rng = np.random.default_rng(7)
     h_cm = Tensor(rng.normal(size=(3, 6, 16)))
-    out = model.classify(h_cm, np.ones((3, 6), dtype=bool))
+    out = model.classify(h_cm)
     assert out.shape == (3, 8)
     npt.assert_allclose(np.exp(out.data).sum(axis=-1), 1.0, atol=1e-12)
-
-
-def test_classify_ignores_masked_frame_content():
-    model = make_model()
-    rng = np.random.default_rng(8)
-    h_cm = rng.normal(size=(1, 6, 16))
-    mask = np.array([[True, True, True, True, False, False]])
-    base = model.classify(Tensor(h_cm), mask).data
-    noisy = h_cm.copy()
-    noisy[0, 4:] = 1e3 * rng.normal(size=(2, 16))
-    again = model.classify(Tensor(noisy), mask).data
-    npt.assert_allclose(base, again, atol=1e-10)
-
-
-def test_classify_zero_valid_frames_raises():
-    model = make_model()
-    h_cm = Tensor(np.zeros((2, 4, 16)))
-    mask = np.array([[True] * 4, [False] * 4])
-    with pytest.raises(ValueError, match="zero valid frames"):
-        model.classify(h_cm, mask)
 
 
 # -- full pipeline --------------------------------------------------------------------
@@ -221,8 +200,8 @@ def test_classify_zero_valid_frames_raises():
 
 def test_forward_shapes():
     model = make_model()
-    emb_a, emb_t, text_mask, frame_mask = random_inputs(model.cfg)
-    out = model.forward(emb_a, emb_t, text_mask, frame_mask)
+    emb_a, emb_t, text_mask = random_inputs(model.cfg)
+    out = model.forward(emb_a, emb_t, text_mask)
     assert out.log_probs.shape == (2, 8)
     assert out.h_cm.shape == (2, 6, 16)
 
@@ -234,9 +213,9 @@ def test_forward_deterministic_and_seeded():
     pa, pb, pc = a.params(), b.params(), c.params()
     assert all(pa[k].data.tobytes() == pb[k].data.tobytes() for k in pa)
     assert any(pa[k].data.tobytes() != pc[k].data.tobytes() for k in pa)
-    emb_a, emb_t, text_mask, frame_mask = random_inputs(a.cfg)
-    out1 = a.forward(emb_a, emb_t, text_mask, frame_mask).log_probs.data
-    out2 = b.forward(emb_a, emb_t, text_mask, frame_mask).log_probs.data
+    emb_a, emb_t, text_mask = random_inputs(a.cfg)
+    out1 = a.forward(emb_a, emb_t, text_mask).log_probs.data
+    out2 = b.forward(emb_a, emb_t, text_mask).log_probs.data
     assert out1.tobytes() == out2.tobytes()
 
 
@@ -247,11 +226,10 @@ def test_full_path_gradient_check():
     emb_a = rng.normal(size=(2, 5, 6))
     emb_t = rng.normal(size=(2, 3, 5))
     text_mask = np.array([[True, True, True], [True, True, False]])
-    frame_mask = np.array([[True] * 5, [True, True, True, True, False]])
     labels = np.array([1, 3])
 
     def loss():
-        out = model.forward(emb_a, emb_t, text_mask, frame_mask)
+        out = model.forward(emb_a, emb_t, text_mask)
         return model.loss(out, labels)
 
     report = grad_check(loss, model.params(), max_coords_per_param=3,
@@ -267,12 +245,11 @@ def test_overfits_small_synthetic_batch():
     emb_a = rng.normal(size=(b, t, 12))
     emb_t = rng.normal(size=(b, s, 10))
     text_mask = np.ones((b, s), dtype=bool)
-    frame_mask = np.ones((b, t), dtype=bool)
     labels = np.arange(8)
     opt = AdamW(model.params(), lr=3e-3)
     reached = None
     for step in range(500):
-        out = model.forward(emb_a, emb_t, text_mask, frame_mask)
+        out = model.forward(emb_a, emb_t, text_mask)
         loss = model.loss(out, labels)
         opt.zero_grad()
         loss.backward()

@@ -97,52 +97,33 @@ def test_encode_shapes_and_downsampling():
     model = make_model()
     rng = np.random.default_rng(1)
     frames = rng.normal(size=(2, 10, 8))
-    mask = np.ones((2, 10), dtype=bool)
-    enc_last, emb_a, ds_mask = model.encode(frames, mask)
+    enc_last, emb_a = model.encode(frames)
     assert enc_last.shape == (2, 5, 16)
     assert emb_a.shape == (2, 5, 48)      # three taps concatenated
-    assert ds_mask.shape == (2, 5) and ds_mask.all()
-
-
-def test_encode_masked_frame_content_cannot_leak():
-    model = make_model()
-    rng = np.random.default_rng(2)
-    frames = rng.normal(size=(1, 10, 8))
-    mask = np.zeros((1, 10), dtype=bool)
-    mask[0, :6] = True
-    _, base, _ = model.encode(frames, mask)
-    noisy = frames.copy()
-    noisy[0, 6:] = 1e4
-    _, again, _ = model.encode(noisy, mask)
-    npt.assert_allclose(base.data, again.data, atol=1e-10)
 
 
 def test_encode_empty_time_axis_rejected():
     model = make_model()
     with pytest.raises(ValueError):
-        model.encode(np.zeros((1, 0, 8)), np.zeros((1, 0), dtype=bool))
+        model.encode(np.zeros((1, 0, 8)))
 
 
 def test_adapt_shapes():
     model = make_model()
     rng = np.random.default_rng(3)
     enc_last = Tensor(rng.normal(size=(2, 5, 16)))
-    mask = np.ones((2, 5), dtype=bool)
-    audio_prefix, ds_mask = model.adapt(enc_last, mask)
+    audio_prefix = model.adapt(enc_last)
     assert audio_prefix.shape == (2, 3, 24)   # ceil(5 / 2) with the stride in the last conv
-    assert ds_mask.shape == (2, 3)
 
 
 def test_encoder_adaptor_gradients_match_fd():
     model = make_model(enc_dim=8, dec_dim=8)
     rng = np.random.default_rng(4)
     frames = rng.normal(size=(1, 6, 8))
-    mask = np.ones((1, 6), dtype=bool)
     w = rng.normal(size=(1, 2, 8))
 
     def loss():
-        enc_last, _, ds = model.encode(frames, mask)
-        prefix, _ = model.adapt(enc_last, ds)
+        prefix = model.adapt(model.encode(frames)[0])
         return T.tsum(T.mul(prefix, w))
 
     encoder = {name: p for name, p in model.params().items() if name.startswith("enc")}
@@ -156,20 +137,18 @@ def test_encoder_adaptor_gradients_match_fd():
 def prepare_audio(model, batch=1, t0=10, seed=6):
     rng = np.random.default_rng(seed)
     frames = rng.normal(size=(batch, t0, model.cfg.feat_dim))
-    mask = np.ones((batch, t0), dtype=bool)
-    enc_last, emb_a, ds = model.encode(frames, mask)
-    prefix, pmask = model.adapt(enc_last, ds)
-    return prefix, pmask, emb_a, ds
+    enc_last, emb_a = model.encode(frames)
+    return model.adapt(enc_last), emb_a
 
 
 def test_fresh_model_loss_near_uniform():
     model = make_model()
-    prefix, pmask, _, _ = prepare_audio(model)
+    prefix, _ = prepare_audio(model)
     transcript = VOCAB.class_blocks[0][:4]
     target = VOCAB.build_target(transcript, 0)
     prompt = VOCAB.prompt_pool[0]
     loss, emb_t, emb_t_mask = model.teacher_forced_loss(
-        prefix, pmask, [prompt], [target], [len(transcript)])
+        prefix, [prompt], [target], [len(transcript)])
     uniform = math.log(len(VOCAB))
     assert abs(loss.data - uniform) < 0.25 * uniform
     assert emb_t.shape == (1, 4, 24)
@@ -178,29 +157,27 @@ def test_fresh_model_loss_near_uniform():
 
 def test_loss_depends_on_prompt():
     model = make_model()
-    prefix, pmask, _, _ = prepare_audio(model)
+    prefix, _ = prepare_audio(model)
     target = VOCAB.build_target(VOCAB.class_blocks[2][:3], 2)
-    l0, _, _ = model.teacher_forced_loss(prefix, pmask, [VOCAB.prompt_pool[0]],
-                                         [target], [3])
-    l1, _, _ = model.teacher_forced_loss(prefix, pmask, [VOCAB.prompt_pool[1]],
-                                         [target], [3])
+    l0, _, _ = model.teacher_forced_loss(prefix, [VOCAB.prompt_pool[0]], [target], [3])
+    l1, _, _ = model.teacher_forced_loss(prefix, [VOCAB.prompt_pool[1]], [target], [3])
     assert abs(l0.data - l1.data) > 1e-9
 
 
 def test_batched_loss_is_token_weighted_mean_of_rows():
     model = make_model()
-    prefix2, pmask2, _, _ = prepare_audio(model, batch=2, seed=7)
+    prefix2, _ = prepare_audio(model, batch=2, seed=7)
     targets = [VOCAB.build_target(VOCAB.class_blocks[0][:5], 0),
                VOCAB.build_target(VOCAB.class_blocks[3][:2], 3)]
     prompts = [VOCAB.prompt_pool[0], VOCAB.prompt_pool[1]]
     lens = [5, 2]
-    batched, _, _ = model.teacher_forced_loss(prefix2, pmask2, prompts, targets, lens)
+    batched, _, _ = model.teacher_forced_loss(prefix2, prompts, targets, lens)
 
     total, count = 0.0, 0
     for i in range(2):
         row_prefix = T.take(prefix2, (slice(i, i + 1),))
         row_loss, _, _ = model.teacher_forced_loss(
-            row_prefix, pmask2[i:i + 1], [prompts[i]], [targets[i]], [lens[i]])
+            row_prefix, [prompts[i]], [targets[i]], [lens[i]])
         total += row_loss.data * len(targets[i])
         count += len(targets[i])
     npt.assert_allclose(batched.data, total / count, atol=1e-10)
@@ -208,10 +185,10 @@ def test_batched_loss_is_token_weighted_mean_of_rows():
 
 def test_target_without_style_open_rejected():
     model = make_model()
-    prefix, pmask, _, _ = prepare_audio(model)
+    prefix, _ = prepare_audio(model)
     bad = VOCAB.class_blocks[0][:3] + [EOS_ID]
     with pytest.raises(ValueError, match="exactly one style-open token"):
-        model.teacher_forced_loss(prefix, pmask, [VOCAB.prompt_pool[0]], [bad], [3])
+        model.teacher_forced_loss(prefix, [VOCAB.prompt_pool[0]], [bad], [3])
 
 
 # -- decoder causality ----------------------------------------------------------------
@@ -219,14 +196,13 @@ def test_target_without_style_open_rejected():
 
 def test_decoder_is_causal_over_text():
     model = make_model()
-    prefix, pmask, _, _ = prepare_audio(model)
+    prefix, _ = prepare_audio(model)
     row = VOCAB.prompt_pool[0] + VOCAB.class_blocks[0][:4]
     ids = np.asarray([row], dtype=np.int64)
-    valid = np.ones((1, len(row)), dtype=bool)
-    base = model.decode_hidden(prefix, pmask, ids, valid).data
+    base = model.decode_hidden(prefix, ids).data
     mutated = ids.copy()
     mutated[0, -1] = VOCAB.class_blocks[5][0]
-    again = model.decode_hidden(prefix, pmask, mutated, valid).data
+    again = model.decode_hidden(prefix, mutated).data
     k = len(row) - 1
     npt.assert_allclose(base[:, :k], again[:, :k], atol=1e-12)
     assert np.abs(base[:, k] - again[:, k]).max() > 1e-9
@@ -234,14 +210,37 @@ def test_decoder_is_causal_over_text():
 
 def test_decoder_sees_audio_prefix():
     model = make_model()
-    prefix, pmask, _, _ = prepare_audio(model, seed=8)
-    other, omask, _, _ = prepare_audio(model, seed=9)
+    prefix, _ = prepare_audio(model, seed=8)
+    other, _ = prepare_audio(model, seed=9)
     row = VOCAB.prompt_pool[0]
     ids = np.asarray([row], dtype=np.int64)
-    valid = np.ones((1, len(row)), dtype=bool)
-    h1 = model.decode_hidden(prefix, pmask, ids, valid).data
-    h2 = model.decode_hidden(other, omask, ids, valid).data
+    h1 = model.decode_hidden(prefix, ids).data
+    h2 = model.decode_hidden(other, ids).data
     assert np.abs(h1 - h2).max() > 1e-9
+
+
+def test_right_padding_never_reaches_a_real_position():
+    model = make_model()
+    prefix, _ = prepare_audio(model, batch=3, seed=11)
+    prompts = [VOCAB.prompt_pool[0], VOCAB.prompt_pool[1], VOCAB.prompt_pool[3]]
+    lens = [5, 1, 3]
+    targets = [VOCAB.build_target(VOCAB.class_blocks[c][:k], c)
+               for c, k in zip((0, 3, 6), lens)]
+    rows = [p + t[:-1] for p, t in zip(prompts, targets)]
+    assert len({len(row) for row in rows}) == 3
+    ids = np.full((3, max(map(len, rows))), PAD_ID, dtype=np.int64)
+    for i, row in enumerate(rows):
+        ids[i, :len(row)] = row
+    hidden = model.decode_hidden(prefix, ids).data
+    _, emb_t, emb_t_mask = model.teacher_forced_loss(prefix, prompts, targets, lens)
+    for i, row in enumerate(rows):
+        row_prefix = T.take(prefix, (slice(i, i + 1),))
+        alone = model.decode_hidden(row_prefix, np.asarray([row], dtype=np.int64)).data
+        npt.assert_allclose(hidden[i, :len(row)], alone[0], rtol=0, atol=1e-12)
+        _, emb_alone, _ = model.teacher_forced_loss(
+            row_prefix, [prompts[i]], [targets[i]], [lens[i]])
+        assert emb_t_mask[i].tolist() == [j < lens[i] for j in range(max(lens))]
+        npt.assert_allclose(emb_t.data[i, :lens[i]], emb_alone.data[0], rtol=0, atol=1e-12)
 
 
 # -- single-item overfit and greedy generation ------------------------------------------
@@ -252,24 +251,21 @@ def overfit_bundle():
     model = make_model(seed=42)
     rng = np.random.default_rng(43)
     frames = rng.normal(size=(1, 12, 8))
-    mask = np.ones((1, 12), dtype=bool)
     transcript = VOCAB.class_blocks[4][:4]
     target = VOCAB.build_target(transcript, 4)
     prompt = VOCAB.prompt_pool[2]
     opt = AdamW(model.params(), lr=3e-3)
     final_loss = None
     for _ in range(300):
-        enc_last, _, ds = model.encode(frames, mask)
-        prefix, pmask = model.adapt(enc_last, ds)
-        loss, _, _ = model.teacher_forced_loss(prefix, pmask, [prompt],
-                                               [target], [len(transcript)])
+        prefix = model.adapt(model.encode(frames)[0])
+        loss, _, _ = model.teacher_forced_loss(prefix, [prompt], [target], [len(transcript)])
         opt.zero_grad()
         loss.backward()
         opt.step()
         final_loss = float(loss.data)
         if final_loss < 0.01:
             break
-    return model, frames, mask, prompt, target, transcript, final_loss
+    return model, frames, prompt, target, transcript, final_loss
 
 
 def test_overfit_single_item_loss(overfit_bundle):
@@ -278,22 +274,20 @@ def test_overfit_single_item_loss(overfit_bundle):
 
 
 def test_greedy_generation_recovers_target(overfit_bundle):
-    model, frames, mask, prompt, target, transcript, _ = overfit_bundle
+    model, frames, prompt, target, transcript, _ = overfit_bundle
     with T.no_grad():
-        enc_last, _, ds = model.encode(frames, mask)
-        prefix, pmask = model.adapt(enc_last, ds)
-    result = model.generate_greedy(prefix, pmask, prompt)
+        prefix = model.adapt(model.encode(frames)[0])
+    result = model.generate_greedy(prefix, prompt)
     assert result.tokens == [target]
     assert result.transcript == [transcript]
     assert result.flags == [[]]
 
 
 def test_generation_distribution_and_embedding(overfit_bundle):
-    model, frames, mask, prompt, target, transcript, _ = overfit_bundle
+    model, frames, prompt, target, transcript, _ = overfit_bundle
     with T.no_grad():
-        enc_last, _, ds = model.encode(frames, mask)
-        prefix, pmask = model.adapt(enc_last, ds)
-    result = model.generate_greedy(prefix, pmask, prompt)
+        prefix = model.adapt(model.encode(frames)[0])
+    result = model.generate_greedy(prefix, prompt)
     p_nt = result.p_nt[0]
     assert p_nt is not None and p_nt.shape == (len(VOCAB),)
     npt.assert_allclose(p_nt.sum(), 1.0, atol=1e-12)
@@ -304,20 +298,19 @@ def test_generation_distribution_and_embedding(overfit_bundle):
 
 
 def test_generation_deterministic(overfit_bundle):
-    model, frames, mask, prompt, *_ = overfit_bundle
+    model, frames, prompt, *_ = overfit_bundle
     with T.no_grad():
-        enc_last, _, ds = model.encode(frames, mask)
-        prefix, pmask = model.adapt(enc_last, ds)
-    r1 = model.generate_greedy(prefix, pmask, prompt)
-    r2 = model.generate_greedy(prefix, pmask, prompt)
+        prefix = model.adapt(model.encode(frames)[0])
+    r1 = model.generate_greedy(prefix, prompt)
+    r2 = model.generate_greedy(prefix, prompt)
     assert r1.tokens == r2.tokens
     assert r1.p_nt[0].tobytes() == r2.p_nt[0].tobytes()
 
 
 def test_generation_without_style_open_sets_flag():
     model = make_model(max_decode_len=1)
-    prefix, pmask, _, _ = prepare_audio(model, seed=10)
-    result = model.generate_greedy(prefix, pmask, VOCAB.prompt_pool[0])
+    prefix, _ = prepare_audio(model, seed=10)
+    result = model.generate_greedy(prefix, VOCAB.prompt_pool[0])
     assert len(result.tokens[0]) == 1
     assert "NoTermination" in result.flags[0]
     assert result.p_nt[0] is None

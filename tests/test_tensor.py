@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from spdp import tensor as T
 from spdp.checkpoint import load_checkpoint, save_checkpoint
 from spdp.gradcheck import grad_check
-from spdp.layers import causal_mask, key_padding_mask
+from spdp.layers import causal_mask
 from spdp.optim import AdamW
 from spdp.tensor import Tensor
 
@@ -297,11 +297,15 @@ def unfused_attention(q, k, v, n_heads, mask):
     return T.reshape(T.transpose(mixed, (0, 2, 1, 3)), (batch, t, dim))
 
 
+def key_padding(valid):
+    """(B, T_k) key validity -> additive (B, 1, 1, T_k) 0/-inf mask."""
+    return np.where(np.asarray(valid, dtype=bool), 0.0, -np.inf)[:, None, None, :]
+
+
 @pytest.mark.parametrize("t, t_k, mask", [
-    (4, 4, key_padding_mask(np.array([[1, 1, 1, 0], [1, 1, 0, 0]]))),
+    (4, 4, key_padding([[1, 1, 1, 0], [1, 1, 0, 0]])),
     (3, 3, causal_mask(3)),
-    (2, 5, causal_mask(2, past=3) + key_padding_mask(np.array([[1, 0, 1, 1, 1],
-                                                               [1, 1, 1, 1, 0]]))),
+    (2, 5, causal_mask(2, past=3) + key_padding([[1, 0, 1, 1, 1], [1, 1, 1, 1, 0]])),
 ], ids=["key-padding", "causal", "cached-causal"])
 def test_attention_gradient_matches_fd(t, t_k, mask):
     rng = np.random.default_rng(20)
