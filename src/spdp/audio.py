@@ -135,7 +135,6 @@ class BinThresholds:
     sigma: np.ndarray
     low_cut: np.ndarray
     high_cut: np.ndarray
-    cut: float = TERTILE_CUT
 
 
 def _feature_matrix(features) -> np.ndarray:
@@ -148,8 +147,8 @@ def _feature_matrix(features) -> np.ndarray:
     return mat
 
 
-def compute_bins(features, cut: float = TERTILE_CUT) -> BinThresholds:
-    """Per-feature tertile cuts mu +/- cut*sigma over the population.
+def compute_bins(features) -> BinThresholds:
+    """Per-feature tertile cuts mu +/- TERTILE_CUT*sigma over the population.
 
     Accepts a list of FeatureVector5 or an (n, 5) array.
     """
@@ -160,17 +159,8 @@ def compute_bins(features, cut: float = TERTILE_CUT) -> BinThresholds:
     sigma = mat.std(axis=0)
     if (sigma <= 1e-12 * np.maximum(1.0, np.abs(mu))).any():
         raise ValueError("degenerate feature")
-    return BinThresholds(mu=mu, sigma=sigma,
-                         low_cut=mu - cut * sigma, high_cut=mu + cut * sigma, cut=cut)
-
-
-def bin_index(value: float, feature: int, bins: BinThresholds) -> int:
-    """0 = low (-inf, lo], 1 = medium (lo, hi], 2 = high (hi, inf)."""
-    if value <= bins.low_cut[feature]:
-        return 0
-    if value <= bins.high_cut[feature]:
-        return 1
-    return 2
+    return BinThresholds(mu=mu, sigma=sigma, low_cut=mu - TERTILE_CUT * sigma,
+                         high_cut=mu + TERTILE_CUT * sigma)
 
 
 def filter_high_expressivity(fv: FeatureVector5, bins: BinThresholds) -> bool:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -207,7 +208,12 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _evaluate_checkpoint(args: argparse.Namespace) -> tuple[Path, MetricsReport]:
-    """Evaluate ``--checkpoint`` on ``--split``, writing predictions.jsonl under --out."""
+    """Evaluate ``--checkpoint`` on ``--split``, writing predictions.jsonl under --out.
+
+    The records go to a temporary name first and replace predictions.jsonl
+    only once the checkpoint is known unchanged, so a refused run leaves
+    --out as it found it.
+    """
     cfg = _load_run_config(args)
     utts = [u for u in _require_corpus(cfg) if u.split == args.split]
     if not utts:
@@ -219,9 +225,14 @@ def _evaluate_checkpoint(args: argparse.Namespace) -> tuple[Path, MetricsReport]
     model = SpdpModel(cfg, _load_vocab(cfg))
     restore_params(model.params(), load_checkpoint(checkpoint))
     out = _out_dir(cfg)
-    report = evaluate(model, utts, records_out=out / "predictions.jsonl")
-    if hashlib.sha256(checkpoint.read_bytes()).hexdigest() != before:
-        raise DataError("checkpoint changed during evaluation")
+    tmp = out / "predictions.jsonl.tmp"
+    try:
+        report = evaluate(model, utts, records_out=tmp)
+        if hashlib.sha256(checkpoint.read_bytes()).hexdigest() != before:
+            raise DataError("checkpoint changed during evaluation")
+        os.replace(tmp, out / "predictions.jsonl")
+    finally:
+        tmp.unlink(missing_ok=True)
     return out, report
 
 

@@ -64,10 +64,14 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         """Refuse an out-of-range value at once; each module config checks itself."""
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for field, low in (("epochs", 1), ("max_steps", 0), ("batch_size", 1)):
+            if getattr(self, field) < low:
+                raise ValueError(f"{field} must be >= {low}, got {getattr(self, field)}")
+        if not self.lr > 0:
+            raise ValueError(f"lr must be > 0, got {self.lr}")
         for build in (self.corpus_config, self.parallel_config, self.fusion_config):
             build()
+        self.serial_config(vocab_size=1)    # the widths; the vocabulary comes later
 
     # -- derived module configs -------------------------------------------------
 

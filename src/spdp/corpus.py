@@ -43,6 +43,9 @@ class CorpusConfig:
     def __post_init__(self) -> None:
         if self.n_per_class < 2:
             raise ValueError("n_per_class must be >= 2")
+        for field in ("frames_per_utt", "feat_dim"):
+            if getattr(self, field) < 1:
+                raise ValueError(f"{field} must be >= 1, got {getattr(self, field)}")
         if not 0.0 <= self.coupling <= 1.0:
             raise ValueError("coupling must lie in [0, 1]")
         if not 0.0 < self.train_fraction < 1.0:
@@ -54,14 +57,6 @@ def class_centroids(feat_dim: int, n_classes: int = N_CLASSES) -> np.ndarray:
     rng = np.random.default_rng(7)
     c = rng.normal(size=(n_classes, feat_dim))
     return c / np.linalg.norm(c, axis=1, keepdims=True)
-
-
-def centroid_separation(centroids: np.ndarray) -> float:
-    """Smallest pairwise distance between class centroids."""
-    n = centroids.shape[0]
-    dists = [np.linalg.norm(centroids[i] - centroids[j])
-             for i in range(n) for j in range(i + 1, n)]
-    return float(min(dists))
 
 
 def generate_corpus(cfg: CorpusConfig, vocab: Vocab) -> list[Utterance]:

@@ -113,10 +113,9 @@ def predict(frames: np.ndarray, serial: SerialModel, parallel: ParallelPathModel
         rows = [i for i, transcript in enumerate(gen.transcript) if transcript]
         if not rows:
             return records
-        s_len = max(len(gen.transcript[i]) for i in rows)
-        out = parallel.forward(emb_a.data[rows], gen.emb_t[rows, :s_len],
-                               gen.emb_t_mask[rows, :s_len])
-    for i, log_q in zip(rows, out.log_probs.data):
+        log_probs = parallel.forward(emb_a.data[rows], gen.emb_t[rows],
+                                     [len(gen.transcript[i]) for i in rows])
+    for i, log_q in zip(rows, log_probs.data):
         q = np.exp(log_q)
         flags = list(gen.flags[i])
         if gen.p_nt[i] is None:

@@ -44,12 +44,6 @@ class ParallelPathConfig:
             raise ValueError(f"n_subspaces + ref_dim must divide evenly into {N_HEADS} heads")
 
 
-@dataclass
-class ParallelPathOutput:
-    log_probs: Tensor          # (B, N_CLASSES), LogSoftmax domain
-    h_cm: Tensor               # (B, T, N + ref_dim)
-
-
 class ParallelPathModel(Module):
     def __init__(self, cfg: ParallelPathConfig, rng: np.random.Generator):
         self.cfg = cfg
@@ -86,13 +80,15 @@ class ParallelPathModel(Module):
 
     # -- stage 2: attention alignment -------------------------------------------
 
-    def align(self, h_a: Tensor, h_t: Tensor, text_mask: np.ndarray) -> tuple[Tensor, Tensor]:
-        text_mask = np.asarray(text_mask, dtype=bool)
-        if (text_mask.sum(axis=1) == 0).any():
+    def align(self, h_a: Tensor, h_t: Tensor, text_lens) -> tuple[Tensor, Tensor]:
+        """Attend each frame over its row's first ``text_lens[i]`` text positions."""
+        text_lens = np.asarray(text_lens)
+        if (text_lens < 1).any():
             raise ValueError("empty transcript")
         scale = 1.0 / math.sqrt(self.cfg.d_shared)
         scores = T.mul(T.matmul(h_a, T.transpose(h_t, (0, 2, 1))), scale)
-        additive = np.where(text_mask, 0.0, -np.inf)[:, None, :]
+        valid = np.arange(h_t.shape[1]) < text_lens[:, None]
+        additive = np.where(valid, 0.0, -np.inf)[:, None, :]
         attn = T.softmax(scores, axis=-1, mask=additive)
         return T.matmul(attn, h_t), attn
 
@@ -122,12 +118,12 @@ class ParallelPathModel(Module):
 
     # -- full pipeline -------------------------------------------------------------
 
-    def forward(self, emb_a, emb_t, text_mask: np.ndarray) -> ParallelPathOutput:
+    def forward(self, emb_a, emb_t, text_lens) -> Tensor:
+        """(B, N_CLASSES) log-probabilities; row i's text is emb_t[i, :text_lens[i]]."""
         h_a, h_t = self.project_bimodal(emb_a, emb_t)
-        h_t_al, _ = self.align(h_a, h_t, text_mask)
+        h_t_al, _ = self.align(h_a, h_t, text_lens)
         s = self.subspace_similarities(h_a, h_t_al)
-        h_cm = self.build_representation(s, h_t_al)
-        return ParallelPathOutput(log_probs=self.classify(h_cm), h_cm=h_cm)
+        return self.classify(self.build_representation(s, h_t_al))
 
-    def loss(self, out: ParallelPathOutput, labels: np.ndarray) -> Tensor:
-        return T.class_nll(out.log_probs, labels)
+    def loss(self, log_probs: Tensor, labels: np.ndarray) -> Tensor:
+        return T.class_nll(log_probs, labels)

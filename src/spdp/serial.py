@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .layers import (Conv1d, Embedding, KVCache, LayerNorm, Linear, Module,
+from .layers import (N_HEADS, Conv1d, Embedding, KVCache, LayerNorm, Linear, Module,
                      TransformerLayer, causal_mask, sinusoidal_positions)
 from .tensor import Tensor
 from .vocab import EOS_ID, PAD_ID, STYLE_OPEN_ID
@@ -43,6 +43,15 @@ class SerialConfig:
     def emb_a_dim(self) -> int:
         return ENC_LAYERS * self.enc_dim
 
+    def __post_init__(self) -> None:
+        for field in ("enc_dim", "dec_dim"):
+            dim = getattr(self, field)
+            if dim < 1 or dim % N_HEADS != 0:
+                raise ValueError(f"{field} must be a positive multiple of the "
+                                 f"{N_HEADS} attention heads, got {dim}")
+        if self.max_decode_len < 1:
+            raise ValueError(f"max_decode_len must be >= 1, got {self.max_decode_len}")
+
 
 @dataclass
 class GenerationResult:
@@ -52,7 +61,7 @@ class GenerationResult:
     transcript: list[list[int]]      # generated tokens before the first "<"
     flags: list[list[str]]
     emb_t: np.ndarray                # (B, S, dec_dim) over transcript positions, S the
-    emb_t_mask: np.ndarray           # longest transcript; zero where the (B, S) mask is off
+                                     # longest transcript; zero past len(transcript[i])
 
 
 @dataclass
@@ -133,8 +142,9 @@ class SerialModel(Module):
         else:
             table, layer_caches = cache.positions, cache.layers
         x = T.add(x, table[past:total])
-        # Text padding ends every row, so causality keeps it from every real position.
-        mask = causal_mask(x.shape[1], past)
+        # Text padding ends every row, so causality keeps it from every real
+        # position. A single query may see every key, so it needs no mask.
+        mask = causal_mask(x.shape[1], past) if x.shape[1] > 1 else None
         for layer, kv in zip(self.dec, layer_caches):
             x = layer(x, mask=mask, cache=kv)
         x = self.dec_norm(x)
@@ -142,13 +152,13 @@ class SerialModel(Module):
 
     def teacher_forced_loss(self, audio_prefix: Tensor,
                             prompts: list[list[int]], targets: list[list[int]],
-                            transcript_lens: list[int]
-                            ) -> tuple[Tensor, Tensor, np.ndarray]:
+                            transcript_lens: list[int]) -> tuple[Tensor, Tensor]:
         """Token cross-entropy plus the linguistic embedding for the parallel path.
 
         Decoder text input is prompt ++ target[:-1]; the label at the input
         position of token t is the next target token, so loss covers exactly
-        the target span. Returns (loss, emb_t (B, S, dec_dim), emb_t mask).
+        the target span. Returns (loss, emb_t (B, S, dec_dim)); emb_t rows past
+        an item's transcript length are padding that the parallel path masks.
         """
         batch = len(prompts)
         for tgt in targets:
@@ -166,8 +176,7 @@ class SerialModel(Module):
             loss_mask[i, start:start + len(tgt)] = True
         hidden = self.decode_hidden(audio_prefix, text_ids)
         loss = T.token_cross_entropy(self.head(hidden), labels, loss_mask)
-        emb_t, emb_t_mask = _gather_transcript(hidden, prompts, transcript_lens)
-        return loss, emb_t, emb_t_mask
+        return loss, _gather_transcript(hidden, prompts, transcript_lens)
 
     def generate_greedy(self, audio_prefix: Tensor, prompt: list[int]) -> GenerationResult:
         """Deterministic greedy decoding of B rows together, with a K/V cache.
@@ -214,18 +223,18 @@ class SerialModel(Module):
                 flags.append([NO_TERMINATION])
                 p_nt[i] = None
         lens = np.array([len(t) for t in transcripts])
-        emb_t_mask = np.arange(lens.max()) < lens[:, None]
-        emb_t = np.where(emb_t_mask[:, :, None], states[:, :lens.max()], 0.0)
+        valid = np.arange(lens.max()) < lens[:, None]
+        emb_t = np.where(valid[:, :, None], states[:, :lens.max()], 0.0)
         return GenerationResult(tokens=tokens, p_nt=p_nt, transcript=transcripts,
-                                flags=flags, emb_t=emb_t, emb_t_mask=emb_t_mask)
+                                flags=flags, emb_t=emb_t)
 
 
 def _gather_transcript(hidden: Tensor, prompts: list[list[int]],
-                       transcript_lens: list[int]) -> tuple[Tensor, np.ndarray]:
+                       transcript_lens: list[int]) -> Tensor:
     """Pick hidden rows at each item's transcript-token input positions.
 
-    Rows beyond an item's transcript length point at position 0 and are
-    marked invalid in the returned mask; alignment masking keeps them out of
+    Rows beyond an item's transcript length point at position 0; the
+    parallel path's alignment, given the same lengths, masks them out of
     every downstream computation.
     """
     batch = len(prompts)
@@ -233,9 +242,7 @@ def _gather_transcript(hidden: Tensor, prompts: list[list[int]],
     if s_max < 1:
         raise ValueError("empty transcript")
     pos = np.zeros((batch, s_max), dtype=np.int64)
-    mask = np.zeros((batch, s_max), dtype=bool)
     for i, (p, k) in enumerate(zip(prompts, transcript_lens)):
         pos[i, :k] = len(p) + np.arange(k)
-        mask[i, :k] = True
     bidx = np.repeat(np.arange(batch)[:, None], s_max, axis=1)
-    return T.take(hidden, (bidx, pos)), mask
+    return T.take(hidden, (bidx, pos))

@@ -50,10 +50,10 @@ class SpdpModel(Module):
                      prompts: list[list[int]], targets: list[list[int]],
                      transcript_lens: list[int]) -> tuple[Tensor, Tensor]:
         enc_last, emb_a = self.serial.encode(frames)
-        l_serial, emb_t, emb_t_mask = self.serial.teacher_forced_loss(
+        l_serial, emb_t = self.serial.teacher_forced_loss(
             self.serial.adapt(enc_last), prompts, targets, transcript_lens)
-        out = self.parallel.forward(emb_a, emb_t, emb_t_mask)
-        l_parallel = self.parallel.loss(out, labels)
+        log_probs = self.parallel.forward(emb_a, emb_t, transcript_lens)
+        l_parallel = self.parallel.loss(log_probs, labels)
         return l_serial, l_parallel
 
 
@@ -78,9 +78,9 @@ def train(model: SpdpModel, train_utts: list[Utterance], out_dir: str | Path,
     fusion_cfg = cfg.fusion_config()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    longest = max(len(model.vocab.build_target(u.transcript, u.gold_style))
-                  for u in train_utts)
-    if model.serial.cfg.max_decode_len < longest + 4:
+    all_targets = [model.vocab.build_target(u.transcript, u.gold_style)
+                   for u in train_utts]
+    if model.serial.cfg.max_decode_len < max(map(len, all_targets)) + 4:
         raise ValueError("max_decode_len must be at least the longest target + 4")
     if optimizer is None:
         optimizer = AdamW(model.trainable_params(), lr=cfg.lr,
@@ -100,8 +100,7 @@ def train(model: SpdpModel, train_utts: list[Utterance], out_dir: str | Path,
                 frames = np.stack([u.frames for u in batch])
                 labels = np.array([u.gold_style for u in batch])
                 prompts = [pool[prompt_ids[i]] for i in sel]
-                targets = [model.vocab.build_target(u.transcript, u.gold_style)
-                           for u in batch]
+                targets = [all_targets[i] for i in sel]
                 t_lens = [len(u.transcript) for u in batch]
                 l_s, l_p = model.batch_losses(frames, labels, prompts, targets, t_lens)
                 l_total = total_loss(l_s, l_p, fusion_cfg)
@@ -172,8 +171,8 @@ def evaluate(model: SpdpModel, utts: list[Utterance],
              records_out: Path | None = None) -> MetricsReport:
     """Run full inference and tally all three voting routes.
 
-    Utterances go to ``predict`` in runs of up to ``batch_size`` consecutive
-    ones with the same frame count; records keep the utterance order. The
+    Utterances go to ``predict`` in consecutive slices of ``batch_size``,
+    all of one frame shape; records keep the utterance order. The
     serial route scores a hit only when a usable p exists; utterances whose
     generation yields no transcript at all fall back to class 0 with a flag
     and get no record, rather than aborting the whole evaluation.
@@ -186,7 +185,8 @@ def evaluate(model: SpdpModel, utts: list[Utterance],
     serial_hits = parallel_hits = fused_hits = 0
     fallbacks: dict[str, int] = {}
     lines: list[str] = []
-    for chunk in _equal_length_runs(utts, model.run_cfg.batch_size):
+    size = model.run_cfg.batch_size
+    for chunk in (utts[lo:lo + size] for lo in range(0, len(utts), size)):
         recs = predict(np.stack([u.frames for u in chunk]), model.serial, model.parallel,
                        model.vocab, cfg, prompt)
         for u, rec in zip(chunk, recs):
@@ -218,17 +218,6 @@ def evaluate(model: SpdpModel, utts: list[Utterance],
         confusion=confusion,
         fallback_counts=fallbacks,
     )
-
-
-def _equal_length_runs(utts: list[Utterance], size: int) -> list[list[Utterance]]:
-    """Split into runs of up to ``size`` consecutive utterances of one frame shape."""
-    runs: list[list[Utterance]] = []
-    for u in utts:
-        if runs and len(runs[-1]) < size and u.frames.shape == runs[-1][0].frames.shape:
-            runs[-1].append(u)
-        else:
-            runs.append([u])
-    return runs
 
 
 def write_confusion_csv(report: MetricsReport, path: str | Path) -> None:

@@ -91,9 +91,6 @@ class Vocab:
         except KeyError as err:
             raise ValueError(f"vocabulary has no token {err.args[0]!r}") from None
 
-    def decode(self, ids) -> list[str]:
-        return [self.id_to_token[int(i)] for i in ids]
-
     # -- serial-target construction -------------------------------------------
 
     def build_target(self, transcript_ids: list[int], style_idx: int) -> list[int]:

@@ -71,10 +71,9 @@ def test_criterion_2_full_scale_shapes():
     t_frames, s_tokens = 6, 4
     emb_a = rng.normal(size=(1, t_frames, acfg.emb_a_dim))
     emb_t = rng.normal(size=(1, s_tokens, acfg.emb_t_dim))
-    text_mask = np.ones((1, s_tokens), dtype=bool)
 
     h_a, h_t = model.project_bimodal(emb_a, emb_t)
-    h_t_al, _ = model.align(h_a, h_t, text_mask)
+    h_t_al, _ = model.align(h_a, h_t, [s_tokens])
     s = model.subspace_similarities(h_a, h_t_al)
     h_cm = model.build_representation(s, h_t_al)
     log_probs = model.classify(h_cm)

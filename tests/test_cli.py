@@ -101,7 +101,17 @@ def test_config_line_without_equals_is_usage_error_naming_file_and_line(tmp_path
     ("train", "--loss-weights=-1,0.5", "loss weights must be nonnegative"),
     ("eval", "--weights=-1,2", "fusion weights must be nonnegative with a + b > 0"),
     ("train", "batch_size = 0", "batch_size must be >= 1, got 0"),
-], ids=["negative-loss-weight", "negative-fusion-weight", "batch-size-0"])
+    ("train", "epochs = -1", "epochs must be >= 1, got -1"),
+    ("train", "max_steps = -3", "max_steps must be >= 0, got -3"),
+    ("train", "lr = -0.001", "lr must be > 0, got -0.001"),
+    ("train", "enc_dim = 30", "enc_dim must be a positive multiple of the 4 attention heads"),
+    ("eval", "dec_dim = 46", "dec_dim must be a positive multiple of the 4 attention heads"),
+    ("eval", "max_decode_len = -2", "max_decode_len must be >= 1, got -2"),
+    ("gen-data", "frames_per_utt = 0", "frames_per_utt must be >= 1, got 0"),
+    ("gen-data", "feat_dim = 0", "feat_dim must be >= 1, got 0"),
+], ids=["negative-loss-weight", "negative-fusion-weight", "batch-size-0", "epochs-negative",
+        "max-steps-negative", "lr-negative", "enc-dim-30", "dec-dim-46", "max-decode-len-negative",
+        "frames-per-utt-0", "feat-dim-0"])
 def test_config_value_out_of_range_is_usage_error_before_any_output(workspace, tmp_path,
                                                                    capsys, command,
                                                                    setting, message):
@@ -319,10 +329,16 @@ def test_checkpoint_changed_during_evaluation_is_data_error(workspace, tmp_path,
             fh.write(b"\0")
         return report
 
+    out = tmp_path / "o"
+    argv = [command, "--config", str(workspace["cfg"]), "--out", str(out),
+            "--checkpoint", str(ckpt)]
+    assert main(argv + ["--split", "train"]) == EXIT_OK     # other records than the test split's
+    earlier = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert "predictions.jsonl" in earlier
     monkeypatch.setattr(spdp.cli, "evaluate", evaluate_then_touch)
-    assert main([command, "--config", str(workspace["cfg"]), "--out", str(tmp_path / "o"),
-                 "--checkpoint", str(ckpt)]) == EXIT_DATA
+    assert main(argv) == EXIT_DATA
     assert "checkpoint changed during evaluation" in capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
 
 
 @pytest.mark.parametrize("command, key, message", [
@@ -429,6 +445,7 @@ def test_resume_from_a_checkpoint_cut_at_a_record_boundary_is_data_error(
     assert f"checkpoint missing tensor {missing!r}" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
 def test_train_nan_loss_is_numeric_failure(workspace, tmp_path, capsys):
     blobs = load_checkpoint(workspace["run"] / "ckpt-epoch-0.spdp")
     blobs["serial.enc_conv1.weight"].data[...] = np.inf

@@ -10,13 +10,11 @@ import pytest
 from spdp.audio import (FEATURE_NAMES, HOP_S, PITCH_MAX_HZ, PITCH_MIN_HZ, RATE_GATE,
                         RATE_MIN_SEP_S, TERTILE_CUT, UNVOICED, VOICING_GATE, WIN_S,
                         BinThresholds, FeatureVector5, _frame_pitches, _frame_rms,
-                        annotate_intersect, bin_index,
-                        build_filter_fixture_set, compute_bins, curate_test,
+                        annotate_intersect, build_filter_fixture_set, compute_bins, curate_test,
                         extract_features5, filter_high_expressivity, load_wav,
                         sample_confused_label, save_wav, synth_expressive_tone)
-from spdp.corpus import (CorpusConfig, Utterance, centroid_separation,
-                         class_centroids, generate_corpus, load_corpus,
-                         save_corpus)
+from spdp.corpus import (CorpusConfig, Utterance, class_centroids, generate_corpus,
+                         load_corpus, save_corpus)
 from spdp.vocab import build_vocab
 
 VOCAB = build_vocab()
@@ -47,7 +45,8 @@ def test_corpus_counts_and_split():
 
 def test_corpus_frames_cluster_around_centroids():
     centroids = class_centroids(8)
-    sep = centroid_separation(centroids)
+    pairwise = np.linalg.norm(centroids[:, None] - centroids[None], axis=-1)
+    sep = pairwise[np.triu_indices(8, k=1)].min()
     cfg = CorpusConfig(n_per_class=8, spread=0.1 * sep, coupling=1.0, seed=2)
     utts = generate_corpus(cfg, VOCAB)
     hits = 0
@@ -340,10 +339,10 @@ def test_bins_split_normal_population_into_thirds():
     rng = np.random.default_rng(12)
     mat = rng.normal(size=(100000, 5))
     bins = compute_bins(mat)
-    for feat in range(5):
-        idx = np.array([bin_index(v, feat, bins) for v in mat[:, feat]])
-        for b in range(3):
-            assert abs((idx == b).mean() - 1 / 3) < 0.01
+    low = mat <= bins.low_cut
+    high = mat > bins.high_cut
+    for mass in (low.mean(axis=0), (~low & ~high).mean(axis=0), high.mean(axis=0)):
+        npt.assert_array_less(np.abs(mass - 1 / 3), 0.01)
 
 
 def test_bins_degenerate_feature_rejected():
@@ -356,16 +355,6 @@ def test_bins_degenerate_feature_rejected():
 def test_bins_require_five_features():
     with pytest.raises(ValueError, match="feature population"):
         compute_bins(np.zeros((10, 4)))
-
-
-def test_bin_index_boundaries():
-    bins = BinThresholds(mu=np.zeros(5), sigma=np.ones(5),
-                         low_cut=np.full(5, -TERTILE_CUT),
-                         high_cut=np.full(5, TERTILE_CUT))
-    assert bin_index(-TERTILE_CUT, 0, bins) == 0          # boundary joins the low bin
-    assert bin_index(-TERTILE_CUT + 1e-9, 0, bins) == 1
-    assert bin_index(TERTILE_CUT, 0, bins) == 1           # boundary joins the medium bin
-    assert bin_index(TERTILE_CUT + 1e-9, 0, bins) == 2
 
 
 # -- expressivity filter ------------------------------------------------------------------

@@ -222,8 +222,7 @@ def test_predict_empty_transcript_gives_no_record(monkeypatch):
 
     def immediate_style_open(audio_prefix, prompt):
         return GenerationResult(tokens=[[2]], p_nt=[np.full(len(VOCAB), 1 / len(VOCAB))],
-                                transcript=[[]], flags=[[]], emb_t=np.zeros((1, 0, 24)),
-                                emb_t_mask=np.zeros((1, 0), dtype=bool))
+                                transcript=[[]], flags=[[]], emb_t=np.zeros((1, 0, 24)))
 
     monkeypatch.setattr(serial, "generate_greedy", immediate_style_open)
     rng = np.random.default_rng(4)

@@ -32,7 +32,7 @@ def make_model(seed=0, **overrides) -> SerialModel:
 
 
 def test_vocab_reserved_ids_and_size():
-    assert VOCAB.decode([0, 1, 2, 3]) == ["<pad>", "<eos>", "<", ">"]
+    assert VOCAB.id_to_token[:4] == ["<pad>", "<eos>", "<", ">"]
     assert len(VOCAB) == 121
 
 
@@ -61,7 +61,7 @@ def test_vocab_load_names_the_file_and_line_of_a_malformed_row(tmp_path, row):
 
 def test_vocab_encode_decode_inverse():
     words = STYLE_LABELS[2].split()
-    assert VOCAB.decode(VOCAB.encode(words)) == words
+    assert [VOCAB.id_to_token[i] for i in VOCAB.encode(words)] == words
 
 
 def test_build_target_structure():
@@ -72,7 +72,7 @@ def test_build_target_structure():
     assert tgt[-2:] == [STYLE_CLOSE_ID, EOS_ID]
     assert tgt.count(STYLE_OPEN_ID) == 1
     label_span = tgt[4:-2]
-    assert VOCAB.decode(label_span) == STYLE_LABELS[1].split()
+    assert [VOCAB.id_to_token[i] for i in label_span] == STYLE_LABELS[1].split()
 
 
 def test_build_target_rejects_style_open_in_transcript():
@@ -147,20 +147,18 @@ def test_fresh_model_loss_near_uniform():
     transcript = VOCAB.class_blocks[0][:4]
     target = VOCAB.build_target(transcript, 0)
     prompt = VOCAB.prompt_pool[0]
-    loss, emb_t, emb_t_mask = model.teacher_forced_loss(
-        prefix, [prompt], [target], [len(transcript)])
+    loss, emb_t = model.teacher_forced_loss(prefix, [prompt], [target], [len(transcript)])
     uniform = math.log(len(VOCAB))
     assert abs(loss.data - uniform) < 0.25 * uniform
     assert emb_t.shape == (1, 4, 24)
-    assert emb_t_mask.shape == (1, 4) and emb_t_mask.all()
 
 
 def test_loss_depends_on_prompt():
     model = make_model()
     prefix, _ = prepare_audio(model)
     target = VOCAB.build_target(VOCAB.class_blocks[2][:3], 2)
-    l0, _, _ = model.teacher_forced_loss(prefix, [VOCAB.prompt_pool[0]], [target], [3])
-    l1, _, _ = model.teacher_forced_loss(prefix, [VOCAB.prompt_pool[1]], [target], [3])
+    l0, _ = model.teacher_forced_loss(prefix, [VOCAB.prompt_pool[0]], [target], [3])
+    l1, _ = model.teacher_forced_loss(prefix, [VOCAB.prompt_pool[1]], [target], [3])
     assert abs(l0.data - l1.data) > 1e-9
 
 
@@ -171,12 +169,12 @@ def test_batched_loss_is_token_weighted_mean_of_rows():
                VOCAB.build_target(VOCAB.class_blocks[3][:2], 3)]
     prompts = [VOCAB.prompt_pool[0], VOCAB.prompt_pool[1]]
     lens = [5, 2]
-    batched, _, _ = model.teacher_forced_loss(prefix2, prompts, targets, lens)
+    batched, _ = model.teacher_forced_loss(prefix2, prompts, targets, lens)
 
     total, count = 0.0, 0
     for i in range(2):
         row_prefix = T.take(prefix2, (slice(i, i + 1),))
-        row_loss, _, _ = model.teacher_forced_loss(
+        row_loss, _ = model.teacher_forced_loss(
             row_prefix, [prompts[i]], [targets[i]], [lens[i]])
         total += row_loss.data * len(targets[i])
         count += len(targets[i])
@@ -232,14 +230,14 @@ def test_right_padding_never_reaches_a_real_position():
     for i, row in enumerate(rows):
         ids[i, :len(row)] = row
     hidden = model.decode_hidden(prefix, ids).data
-    _, emb_t, emb_t_mask = model.teacher_forced_loss(prefix, prompts, targets, lens)
+    _, emb_t = model.teacher_forced_loss(prefix, prompts, targets, lens)
+    assert emb_t.shape == (3, max(lens), 24)
     for i, row in enumerate(rows):
         row_prefix = T.take(prefix, (slice(i, i + 1),))
         alone = model.decode_hidden(row_prefix, np.asarray([row], dtype=np.int64)).data
         npt.assert_allclose(hidden[i, :len(row)], alone[0], rtol=0, atol=1e-12)
-        _, emb_alone, _ = model.teacher_forced_loss(
+        _, emb_alone = model.teacher_forced_loss(
             row_prefix, [prompts[i]], [targets[i]], [lens[i]])
-        assert emb_t_mask[i].tolist() == [j < lens[i] for j in range(max(lens))]
         npt.assert_allclose(emb_t.data[i, :lens[i]], emb_alone.data[0], rtol=0, atol=1e-12)
 
 
@@ -258,7 +256,7 @@ def overfit_bundle():
     final_loss = None
     for _ in range(300):
         prefix = model.adapt(model.encode(frames)[0])
-        loss, _, _ = model.teacher_forced_loss(prefix, [prompt], [target], [len(transcript)])
+        loss, _ = model.teacher_forced_loss(prefix, [prompt], [target], [len(transcript)])
         opt.zero_grad()
         loss.backward()
         opt.step()
@@ -294,7 +292,6 @@ def test_generation_distribution_and_embedding(overfit_bundle):
     # after overfit, the captured distribution concentrates on the right label
     assert int(p_nt.argmax()) == VOCAB.first_token_ids[4]
     assert result.emb_t.shape == (1, len(transcript), 24)
-    assert result.emb_t_mask.shape == (1, len(transcript)) and result.emb_t_mask.all()
 
 
 def test_generation_deterministic(overfit_bundle):

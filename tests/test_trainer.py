@@ -66,6 +66,7 @@ def test_train_rejects_too_small_decode_budget(tmp_path):
         train(model, [u for u in utts if u.split == "train"], tmp_path)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
 def test_poisoned_weights_fail_fast_as_nan_loss(tmp_path):
     cfg = small_run_config()
     model = SpdpModel(cfg)
@@ -127,3 +128,27 @@ def test_params_hold_every_trained_leaf_once():
     leaves = {id(node) for node in graph_nodes(loss)
               if node.requires_grad and not node._parents}
     assert leaves == set(named)
+
+
+@pytest.mark.parametrize("b", [3, 16])
+def test_desk_dims_train_step_graph_size(b):
+    # The north-star count of graph nodes per train step. A change that moves
+    # these numbers must update them here and say so in CHANGES.md.
+    cfg = RunConfig(n_per_class=2)
+    model = SpdpModel(cfg)
+    utts = generate_corpus(cfg.corpus_config(), model.vocab)[:b]
+    pool = model.vocab.prompt_pool
+    l_s, l_p = model.batch_losses(
+        np.stack([u.frames for u in utts]), np.array([u.gold_style for u in utts]),
+        [pool[i % len(pool)] for i in range(b)],
+        [model.vocab.build_target(u.transcript, u.gold_style) for u in utts],
+        [len(u.transcript) for u in utts])
+    root = total_loss(l_s, l_p, cfg.fusion_config())
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for parent in stack.pop()._parents:
+            if id(parent) not in seen:
+                seen[id(parent)] = parent
+                stack.append(parent)
+    assert len(seen) == 437
+    assert sum(node._backward is not None for node in seen.values()) == 204
