@@ -97,10 +97,20 @@ def require_tensor(blobs: dict[str, Tensor], name: str) -> np.ndarray:
     return blobs[name].data
 
 
+def require_count(blobs: dict[str, Tensor], name: str) -> int:
+    """The counter stored under ``name``: one whole number of 0 or more."""
+    value = require_tensor(blobs, name).reshape(-1)
+    if value.size != 1 or not (np.isfinite(value[0]) and value[0] >= 0
+                               and value[0] == np.floor(value[0])):
+        raise ValueError(f"checkpoint tensor {name!r} must hold one whole number "
+                         f">= 0, got {value.tolist()}")
+    return int(value[0])
+
+
 def restore_params(params: dict[str, Tensor], blobs: dict[str, Tensor]) -> None:
-    """Copy checkpoint payloads into live parameter tensors, shape-checked."""
+    """Copy checkpoint payloads into the live tensors' arrays, in place and shape-checked."""
     for name, p in params.items():
         src = require_tensor(blobs, name)
         if src.shape != p.data.shape:
             raise ValueError(f"shape mismatch for {name!r}: {src.shape} vs {p.data.shape}")
-        p.data = np.array(src)
+        p.data[...] = src

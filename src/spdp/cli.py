@@ -25,7 +25,7 @@ from .corpus import generate_corpus, load_corpus, save_corpus
 from .fusion import total_loss
 from .gradcheck import grad_check
 from .trainer import (NO_LINGUISTIC_EVIDENCE, MetricsReport, SpdpModel, evaluate,
-                      resume_from, train, write_confusion_csv)
+                      make_out_dir, train, write_confusion_csv)
 from .vocab import N_CLASSES, Vocab, build_vocab
 
 EXIT_OK = 0
@@ -138,22 +138,17 @@ def _load_vocab(cfg: RunConfig) -> Vocab:
     return build_vocab()
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    out = Path(cfg.out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as err:
-        raise DataError(f"output directory {out}: {err.strerror}") from err
-    return out
-
-
 def _require_corpus(cfg: RunConfig):
     for label, path in (("manifest", cfg.manifest), ("frames", cfg.frames)):
         if not path:
             raise DataError(f"config must set '{label}' for this command")
         if not Path(path).is_file():
             raise DataError(f"{label} file not found: {path}")
-    return load_corpus(cfg.manifest, cfg.frames)
+    utts = load_corpus(cfg.manifest, cfg.frames)
+    if utts and utts[0].frames.shape[1] != cfg.feat_dim:
+        raise DataError(f"frames file {cfg.frames} holds {utts[0].frames.shape[1]}-wide "
+                        f"frames, but the config sets feat_dim = {cfg.feat_dim}")
+    return utts
 
 
 # -- subcommands ------------------------------------------------------------------
@@ -161,7 +156,7 @@ def _require_corpus(cfg: RunConfig):
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
-    out = _out_dir(cfg)
+    out = make_out_dir(cfg.out_dir)
     vocab = build_vocab()
     utts = generate_corpus(cfg.corpus_config(), vocab)
     save_corpus(utts, out / "manifest.jsonl", out / "frames.bin")
@@ -189,21 +184,13 @@ def cmd_train(args: argparse.Namespace) -> int:
         if bad:
             raise DataError(f"utterance {u.id}: token id {bad[0]} is outside the "
                             f"vocabulary 0..{len(vocab) - 1}")
-    model = SpdpModel(cfg, vocab)
-    out = _out_dir(cfg)
-    vocab.save(out / "vocab.tsv")
-    start_epoch, optimizer = 0, None
-    if cfg.resume:
-        if not Path(cfg.resume).is_file():
-            raise DataError(f"resume checkpoint not found: {cfg.resume}")
-        optimizer, start_epoch = resume_from(model, cfg.resume)
     train_utts = [u for u in utts if u.split == "train"]
     if not train_utts:
         raise DataError("no training utterances in corpus")
-    result = train(model, train_utts, out, start_epoch=start_epoch,
-                   optimizer=optimizer)
-    print(f"trained {result.steps} steps over "
-          f"{cfg.epochs - start_epoch} epoch(s); checkpoints in {out}")
+    if cfg.resume and not Path(cfg.resume).is_file():
+        raise DataError(f"resume checkpoint not found: {cfg.resume}")
+    result = train(SpdpModel(cfg, vocab), train_utts, cfg.out_dir)
+    print(f"trained {len(result.log)} steps; checkpoints in {cfg.out_dir}")
     return EXIT_OK
 
 
@@ -224,7 +211,7 @@ def _evaluate_checkpoint(args: argparse.Namespace) -> tuple[Path, MetricsReport]
     before = hashlib.sha256(checkpoint.read_bytes()).hexdigest()
     model = SpdpModel(cfg, _load_vocab(cfg))
     restore_params(model.params(), load_checkpoint(checkpoint))
-    out = _out_dir(cfg)
+    out = make_out_dir(cfg.out_dir)
     tmp = out / "predictions.jsonl.tmp"
     try:
         report = evaluate(model, utts, records_out=tmp)
@@ -298,7 +285,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
         label = annotate_intersect(a, b)
         if label is not None:
             retained.append({"file": name, "label": label})
-    out = _out_dir(cfg)
+    out = make_out_dir(cfg.out_dir)
     counts = {"total": len(paths), "readable": len(features),
               "filtered": len(kept), "retained": len(retained),
               "skipped": skipped}

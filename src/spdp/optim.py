@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .checkpoint import require_tensor
 from .tensor import Tensor
 
 
@@ -51,15 +50,10 @@ class AdamW:
     # -- resumable state ------------------------------------------------------
 
     def state_tensors(self) -> dict[str, Tensor]:
-        """Moment buffers and step counter as named tensors for checkpointing."""
-        out: dict[str, Tensor] = {"opt.step": Tensor(np.array([float(self.step_count)]))}
+        """The moment buffers as named tensors over the live arrays, so that
+        saving reads them and ``checkpoint.restore_params`` writes them."""
+        out: dict[str, Tensor] = {}
         for name in self.params:
             out[f"opt.m.{name}"] = Tensor(self.m[name])
             out[f"opt.v.{name}"] = Tensor(self.v[name])
         return out
-
-    def load_state_tensors(self, blobs: dict[str, Tensor]) -> None:
-        self.step_count = int(require_tensor(blobs, "opt.step").reshape(-1)[0])
-        for name in self.params:
-            self.m[name] = np.array(require_tensor(blobs, f"opt.m.{name}"))
-            self.v[name] = np.array(require_tensor(blobs, f"opt.v.{name}"))

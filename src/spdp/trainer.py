@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import load_checkpoint, require_tensor, restore_params, save_checkpoint
+from .checkpoint import load_checkpoint, require_count, restore_params, save_checkpoint
 from .config import RunConfig
 from .corpus import Utterance
 from .fusion import PARALLEL_ONLY_FALLBACK, predict, total_loss
@@ -59,38 +59,54 @@ class SpdpModel(Module):
 
 @dataclass
 class TrainResult:
-    steps: int
-    log: list[dict] = field(default_factory=list)
+    steps: int                      # the optimizer's step count, resumed steps included
+    log: list[dict] = field(default_factory=list)   # this run's steps only
 
 
 def _epoch_rng(seed: int, epoch: int) -> np.random.Generator:
     return np.random.default_rng((seed, epoch))
 
 
-def train(model: SpdpModel, train_utts: list[Utterance], out_dir: str | Path,
-          start_epoch: int = 0, optimizer: AdamW | None = None) -> TrainResult:
+def make_out_dir(path: str | Path) -> Path:
+    """Create the output directory ``path`` (and its parents) if needed."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ValueError(f"output directory {out}: {err.strerror}") from err
+    return out
+
+
+def train(model: SpdpModel, train_utts: list[Utterance], out_dir: str | Path) -> TrainResult:
     """Optimize the weighted dual loss; logs, checkpoints, and resumes.
 
-    Checkpoints land in out_dir as ckpt-epoch-N.spdp (parameters plus
-    optimizer moments); the step log is JSON lines in train_log.jsonl.
+    The decode budget and any ``run_cfg.resume`` restore are checked before
+    out_dir is made. It then gets vocab.tsv, the JSON-lines step log
+    train_log.jsonl (appended to on resume) and one ckpt-epoch-N.spdp per
+    epoch. ``max_steps`` caps the step count across resumes.
     """
     cfg = model.run_cfg
     fusion_cfg = cfg.fusion_config()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     all_targets = [model.vocab.build_target(u.transcript, u.gold_style)
                    for u in train_utts]
     if model.serial.cfg.max_decode_len < max(map(len, all_targets)) + 4:
         raise ValueError("max_decode_len must be at least the longest target + 4")
-    if optimizer is None:
-        optimizer = AdamW(model.trainable_params(), lr=cfg.lr,
-                          weight_decay=cfg.weight_decay)
-    log_path = out_dir / "train_log.jsonl"
-    log_mode = "a" if start_epoch > 0 else "w"
+    optimizer = AdamW(model.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    start_epoch = 0
+    if cfg.resume:
+        blobs = load_checkpoint(cfg.resume)
+        restore_params(model.params() | optimizer.state_tensors(), blobs)
+        optimizer.step_count = require_count(blobs, "opt.step")
+        start_epoch = require_count(blobs, "meta.epoch") + 1
+    out_dir = make_out_dir(out_dir)
+    model.vocab.save(out_dir / "vocab.tsv")
     result = TrainResult(steps=optimizer.step_count)
     pool = model.vocab.prompt_pool
-    with open(log_path, log_mode, encoding="utf-8") as log_fh:
+    with open(out_dir / "train_log.jsonl", "a" if cfg.resume else "w",
+              encoding="utf-8") as log_fh:
         for epoch in range(start_epoch, cfg.epochs):
+            if cfg.max_steps and optimizer.step_count >= cfg.max_steps:
+                break
             rng = _epoch_rng(cfg.seed, epoch)
             order = rng.permutation(len(train_utts))
             prompt_ids = rng.integers(0, len(pool), size=len(train_utts))
@@ -119,29 +135,12 @@ def train(model: SpdpModel, train_utts: list[Utterance], out_dir: str | Path,
                 log_fh.write(json.dumps(rec) + "\n")
                 if cfg.max_steps and optimizer.step_count >= cfg.max_steps:
                     break
-            _save_epoch_checkpoint(model, optimizer, epoch, out_dir)
-            if cfg.max_steps and optimizer.step_count >= cfg.max_steps:
-                break
+            save_checkpoint(out_dir / f"ckpt-epoch-{epoch}.spdp", model.params()
+                            | {"opt.step": Tensor(np.array([float(optimizer.step_count)]))}
+                            | optimizer.state_tensors()
+                            | {"meta.epoch": Tensor(np.array([float(epoch)]))})
     result.steps = optimizer.step_count
     return result
-
-
-def _save_epoch_checkpoint(model: SpdpModel, optimizer: AdamW, epoch: int,
-                           out_dir: Path) -> None:
-    blobs: dict[str, Tensor] = dict(model.params())
-    blobs.update(optimizer.state_tensors())
-    blobs["meta.epoch"] = Tensor(np.array([float(epoch)]))
-    save_checkpoint(out_dir / f"ckpt-epoch-{epoch}.spdp", blobs)
-
-
-def resume_from(model: SpdpModel, path: str | Path) -> tuple[AdamW, int]:
-    """Restore parameters and optimizer moments; returns (optimizer, next epoch)."""
-    blobs = load_checkpoint(path)
-    restore_params(model.params(), blobs)
-    optimizer = AdamW(model.trainable_params(), lr=model.run_cfg.lr,
-                      weight_decay=model.run_cfg.weight_decay)
-    optimizer.load_state_tensors(blobs)
-    return optimizer, int(require_tensor(blobs, "meta.epoch").reshape(-1)[0]) + 1
 
 
 # -- evaluation ----------------------------------------------------------------------

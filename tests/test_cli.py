@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from spdp.checkpoint import load_checkpoint, save_checkpoint
 from spdp.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from spdp.tensor import Tensor
 
 BASE_KEYS = """
 n_per_class = 4
@@ -364,6 +365,7 @@ def test_path_that_is_a_directory_is_data_error(workspace, tmp_path, capsys,
     cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(argv + ["--config", str(cfg)]) == EXIT_DATA
     assert f"{message}: {tmp_path}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("damage, message", [
@@ -440,9 +442,90 @@ def test_resume_from_a_checkpoint_cut_at_a_record_boundary_is_data_error(
     cut = tmp_path / "cut.spdp"
     save_checkpoint(cut, dict(list(load_checkpoint(src).items())[:-n_dropped]))
     assert src.read_bytes().startswith(cut.read_bytes())
-    assert main(["train", "--config", str(workspace["cfg"]), "--out", str(tmp_path / "r"),
+    out = tmp_path / "r"
+    assert main(["train", "--config", str(workspace["cfg"]), "--out", str(out),
                  "--resume", str(cut)]) == EXIT_DATA
     assert f"checkpoint missing tensor {missing!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name, payload", [
+    ("opt.m.serial.head.b", np.zeros(3)),
+    ("meta.epoch", np.array([-3.0])),
+    ("meta.epoch", np.array([1.5])),
+    ("opt.step", np.array([np.nan])),
+    ("opt.step", np.array([np.inf])),
+    ("opt.step", np.array([1.0, 2.0])),
+], ids=["moment-shape", "epoch-negative", "epoch-fraction", "step-nan", "step-inf",
+        "step-two-elements"])
+def test_resume_from_a_damaged_optimizer_state_is_data_error_before_any_output(
+        workspace, tmp_path, capsys, name, payload):
+    blobs = load_checkpoint(workspace["run"] / "ckpt-epoch-0.spdp")
+    blobs[name] = Tensor(payload)
+    bad = tmp_path / "bad.spdp"
+    save_checkpoint(bad, blobs)
+    out = tmp_path / "r"
+    assert main(["train", "--config", str(workspace["cfg"]), "--out", str(out),
+                 "--resume", str(bad)]) == EXIT_DATA
+    assert repr(name) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_max_steps_caps_the_step_count_across_resume(workspace, tmp_path, capsys):
+    cfg = tmp_path / "capped.cfg"
+    cfg.write_text(workspace["cfg"].read_text() + "epochs = 3\nmax_steps = 5\n",
+                   encoding="utf-8")
+    run = tmp_path / "run"
+    argv = ["train", "--config", str(cfg), "--out", str(run)]
+    assert main(argv) == EXIT_OK                  # 3 steps per epoch: stops inside epoch 1
+    log = (run / "train_log.jsonl").read_text()
+    assert len(log.splitlines()) == 5
+    assert main(argv + ["--resume", str(run / "ckpt-epoch-1.spdp")]) == EXIT_OK
+    assert f"trained 0 steps; checkpoints in {run}" in capsys.readouterr().out
+    assert (run / "train_log.jsonl").read_text() == log
+    assert sorted(p.name for p in run.glob("ckpt-*")) == ["ckpt-epoch-0.spdp",
+                                                          "ckpt-epoch-1.spdp"]
+
+
+def _no_train_split(workspace, tmp_path):
+    lines = [json.loads(line) for line in
+             (workspace["data"] / "manifest.jsonl").read_text().splitlines()]
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text("".join(json.dumps(rec | {"split": "test"}) + "\n" for rec in lines),
+                        encoding="utf-8")
+    return f"manifest = {manifest}\n"
+
+
+@pytest.mark.parametrize("case, message", [
+    ("decode-budget", "max_decode_len must be at least the longest target + 4"),
+    ("no-train-split", "no training utterances in corpus"),
+], ids=["decode-budget", "no-train-split"])
+def test_train_refusal_comes_before_any_output(workspace, tmp_path, capsys, case, message):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "out"
+    if case == "decode-budget":
+        extra = "max_decode_len = 5\n"
+    else:
+        extra = _no_train_split(workspace, tmp_path)
+    cfg.write_text(workspace["cfg"].read_text() + extra, encoding="utf-8")
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_DATA
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "predict"])
+def test_feat_dim_other_than_the_frames_width_is_data_error_before_any_output(
+        workspace, tmp_path, capsys, command):
+    cfg = tmp_path / "narrow.cfg"
+    cfg.write_text(workspace["cfg"].read_text() + "feat_dim = 6\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = [command, "--config", str(cfg), "--out", str(out)]
+    if command != "train":
+        argv += ["--checkpoint", str(workspace["run"] / "ckpt-epoch-1.spdp")]
+    assert main(argv) == EXIT_DATA
+    assert (f"frames file {workspace['data']}/frames.bin holds 8-wide frames, but the "
+            "config sets feat_dim = 6") in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")

@@ -1,6 +1,9 @@
-"""Every name a ``spdp`` module imports is one that the module reads."""
+"""Every name a ``spdp`` module imports is one that the module reads, and
+every public function, class and method it defines is one that the package
+or the benchmark uses."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -35,3 +38,64 @@ def test_the_check_finds_a_leftover_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_reads_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# Public names that only tests call; each stays for the test named beside it.
+TEST_ONLY_API = {
+    "curate_test",                      # tests/test_acceptance.py::test_criterion_7_curation_pipeline
+    "PredictionRecord.from_json_line",  # tests/test_fusion.py::test_prediction_record_json_round_trip
+}
+
+
+def references(tree: ast.AST) -> Counter:
+    """Each identifier, attribute, imported name and string constant in ``tree``."""
+    found: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            found[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            found[node.name.split(".")[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found[node.value] += 1
+    return found
+
+
+def unused_definitions(defining: list[ast.Module], referencing: list[ast.Module]) -> list[str]:
+    """Public top-level functions and classes, and public methods of those
+    classes, that nothing in ``referencing`` names outside their own body."""
+    total: Counter = Counter()
+    for tree in referencing:
+        total += references(tree)
+    unused = []
+    for tree in defining:
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            defs = [(node.name, node)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{m.name}", m) for m in node.body
+                         if isinstance(m, ast.FunctionDef) and m.name[0] != "_"]
+            unused += [qual for qual, d in defs
+                       if total[d.name] == references(d)[d.name]]
+    return sorted(unused)
+
+
+def test_the_check_finds_a_leftover_definition():
+    box = ast.parse("class Box:\n"
+                    "    def open(self):\n        return self.close()\n"
+                    "    def close(self):\n        return self.open()\n"
+                    "    def spare(self):\n        return self.spare()\n"
+                    "def leftover(n):\n    return leftover(n - 1)\n"
+                    "def make():\n    return Box()\n"
+                    "def named():\n    return None\n")
+    caller = ast.parse("from .box import make\nSPANS = ('named',)\n")
+    assert unused_definitions([box], [box, caller]) == ["Box.spare", "leftover"]
+
+
+def test_every_public_definition_has_a_caller():
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))]
+    bench = sorted((SRC.parent.parent / "perfbench").glob("*.py"))
+    callers = trees + [ast.parse(p.read_text(encoding="utf-8")) for p in bench]
+    assert unused_definitions(trees, callers) == sorted(TEST_ONLY_API)

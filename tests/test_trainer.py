@@ -5,9 +5,11 @@ import hashlib
 import numpy as np
 import pytest
 
+from spdp.checkpoint import load_checkpoint, restore_params
 from spdp.config import RunConfig
 from spdp.corpus import generate_corpus
 from spdp.fusion import total_loss
+from spdp.optim import AdamW
 from spdp.trainer import SpdpModel, _epoch_rng, train
 
 
@@ -64,6 +66,27 @@ def test_train_rejects_too_small_decode_budget(tmp_path):
     utts = generate_corpus(cfg.corpus_config(), model.vocab)
     with pytest.raises(ValueError, match="max_decode_len"):
         train(model, [u for u in utts if u.split == "train"], tmp_path)
+
+
+def test_restore_writes_parameters_and_moments_in_place(tmp_path):
+    cfg = small_run_config()
+    trained = SpdpModel(cfg)
+    utts = generate_corpus(cfg.corpus_config(), trained.vocab)
+    train(trained, [u for u in utts if u.split == "train"], tmp_path)
+    blobs = load_checkpoint(tmp_path / "ckpt-epoch-0.spdp")
+    model = SpdpModel(cfg)
+    optimizer = AdamW(model.params())
+    live = model.params() | optimizer.state_tensors()
+    arrays = {name: t.data for name, t in live.items()}
+    restore_params(live, blobs)
+    for name, t in live.items():
+        assert t.data is arrays[name], name
+        assert np.array_equal(t.data, blobs[name].data), name
+    for name, p in model.params().items():
+        assert p.data is arrays[name]
+        assert optimizer.m[name] is arrays[f"opt.m.{name}"]
+        assert optimizer.v[name] is arrays[f"opt.v.{name}"]
+    assert any(np.any(optimizer.m[name] != 0) for name in optimizer.m)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
