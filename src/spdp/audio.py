@@ -28,6 +28,8 @@ RATE_MIN_SEP_S = 0.1
 WIN_S = 0.025
 HOP_S = 0.010
 PITCH_BLOCK_ROWS = 32  # frames per FFT call; keeps the padded spectra near 1 MiB
+SAMPLE_RATE = 16000    # of the synthesized tones and of save_wav by default
+FIXTURE_S = 2.0        # length of each filter fixture WAV, in seconds
 
 FEATURE_NAMES = ("speaking_rate", "energy_mean", "energy_std", "pitch_mean", "pitch_std")
 
@@ -196,7 +198,7 @@ def curate_test(score_1: int, score_2: int) -> bool:
 # -- WAV fixtures ----------------------------------------------------------------------
 
 
-def save_wav(path: str | Path, waveform: np.ndarray, sample_rate: int = 16000) -> None:
+def save_wav(path: str | Path, waveform: np.ndarray, sample_rate: int = SAMPLE_RATE) -> None:
     samples = np.clip(np.asarray(waveform, dtype=np.float64), -1.0, 1.0)
     pcm = (samples * 32767.0).astype("<i2")
     with wave.open(str(path), "wb") as fh:
@@ -227,24 +229,22 @@ def load_wav(path: str | Path) -> tuple[np.ndarray, int]:
 
 
 def synth_expressive_tone(duration: float, amp: float, am_rate: float,
-                          am_depth: float, f0: float, vibrato: float,
-                          sample_rate: int = 16000) -> np.ndarray:
+                          am_depth: float, f0: float, vibrato: float) -> np.ndarray:
     """Deterministic tone whose knobs map monotonically onto the 5 features.
 
     amp -> energy_mean, amp*am_depth -> energy_std, am_rate -> speaking
     rate, f0 -> pitch_mean, vibrato extent -> pitch_std.
     """
-    n = round(duration * sample_rate)
-    t = np.arange(n) / sample_rate
+    n = round(duration * SAMPLE_RATE)
+    t = np.arange(n) / SAMPLE_RATE
     inst = f0 + vibrato * np.sin(2.0 * np.pi * 2.0 * t)
-    phase = 2.0 * np.pi * np.cumsum(inst) / sample_rate
+    phase = 2.0 * np.pi * np.cumsum(inst) / SAMPLE_RATE
     env = amp * (1.0 + am_depth * np.cos(2.0 * np.pi * am_rate * t))
     return env * np.sin(phase)
 
 
 def build_filter_fixture_set(out_dir: str | Path, n: int = 100,
-                             planted_fraction: float = 0.2, seed: int = 0,
-                             duration: float = 2.0) -> dict[str, bool]:
+                             planted_fraction: float = 0.2, seed: int = 0) -> dict[str, bool]:
     """WAV population with a planted high-expressivity subset.
 
     Background samples jitter around moderate knob settings; planted
@@ -270,7 +270,7 @@ def build_filter_fixture_set(out_dir: str | Path, n: int = 100,
         knobs["am_rate"] = max(1.2, knobs["am_rate"])
         knobs["f0"] = float(np.clip(knobs["f0"], 80.0, 360.0))
         knobs["vibrato"] = max(0.5, knobs["vibrato"])
-        wav = synth_expressive_tone(duration, knobs["amp"], knobs["am_rate"],
+        wav = synth_expressive_tone(FIXTURE_S, knobs["amp"], knobs["am_rate"],
                                     knobs["am_depth"], knobs["f0"], knobs["vibrato"])
         name = f"{'planted' if planted else 'background'}-{i:04d}.wav"
         save_wav(out_dir / name, wav)

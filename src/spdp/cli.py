@@ -38,10 +38,6 @@ class UsageError(Exception):
     pass
 
 
-class DataError(Exception):
-    pass
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spdp",
                                      description="dual-path speaking-style recognizer")
@@ -122,7 +118,7 @@ def _parse_pair(raw: str, flag: str) -> tuple[float, float]:
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
     if args.config is not None and not Path(args.config).is_file():
-        raise DataError(f"config file not found: {args.config}")
+        raise ValueError(f"config file not found: {args.config}")
     try:
         pairs = parse_config_file(args.config) if args.config is not None else {}
         return make_run_config(pairs, _overrides_from_args(args))
@@ -133,7 +129,7 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
 def _load_vocab(cfg: RunConfig) -> Vocab:
     if cfg.vocab_file:
         if not Path(cfg.vocab_file).is_file():
-            raise DataError(f"vocab file not found: {cfg.vocab_file}")
+            raise ValueError(f"vocab file not found: {cfg.vocab_file}")
         return Vocab.load(cfg.vocab_file)
     return build_vocab()
 
@@ -141,13 +137,13 @@ def _load_vocab(cfg: RunConfig) -> Vocab:
 def _require_corpus(cfg: RunConfig):
     for label, path in (("manifest", cfg.manifest), ("frames", cfg.frames)):
         if not path:
-            raise DataError(f"config must set '{label}' for this command")
+            raise ValueError(f"config must set '{label}' for this command")
         if not Path(path).is_file():
-            raise DataError(f"{label} file not found: {path}")
+            raise ValueError(f"{label} file not found: {path}")
     utts = load_corpus(cfg.manifest, cfg.frames)
     if utts and utts[0].frames.shape[1] != cfg.feat_dim:
-        raise DataError(f"frames file {cfg.frames} holds {utts[0].frames.shape[1]}-wide "
-                        f"frames, but the config sets feat_dim = {cfg.feat_dim}")
+        raise ValueError(f"frames file {cfg.frames} holds {utts[0].frames.shape[1]}-wide "
+                         f"frames, but the config sets feat_dim = {cfg.feat_dim}")
     return utts
 
 
@@ -155,6 +151,8 @@ def _require_corpus(cfg: RunConfig):
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
+    if args.wav_fixtures < 0:
+        raise UsageError(f"--wav-fixtures must be >= 0, got {args.wav_fixtures}")
     cfg = _load_run_config(args)
     out = make_out_dir(cfg.out_dir)
     vocab = build_vocab()
@@ -175,20 +173,10 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
-    utts = _require_corpus(cfg)
+    train_utts = [u for u in _require_corpus(cfg) if u.split == "train"]
     vocab = _load_vocab(cfg)
-    for u in utts:
-        if u.split == "train" and not u.transcript:
-            raise DataError(f"utterance {u.id}: empty transcript in the train split")
-        bad = [t for t in u.transcript if not 0 <= t < len(vocab)]
-        if bad:
-            raise DataError(f"utterance {u.id}: token id {bad[0]} is outside the "
-                            f"vocabulary 0..{len(vocab) - 1}")
-    train_utts = [u for u in utts if u.split == "train"]
-    if not train_utts:
-        raise DataError("no training utterances in corpus")
     if cfg.resume and not Path(cfg.resume).is_file():
-        raise DataError(f"resume checkpoint not found: {cfg.resume}")
+        raise ValueError(f"resume checkpoint not found: {cfg.resume}")
     result = train(SpdpModel(cfg, vocab), train_utts, cfg.out_dir)
     print(f"trained {len(result.log)} steps; checkpoints in {cfg.out_dir}")
     return EXIT_OK
@@ -204,10 +192,10 @@ def _evaluate_checkpoint(args: argparse.Namespace) -> tuple[Path, MetricsReport]
     cfg = _load_run_config(args)
     utts = [u for u in _require_corpus(cfg) if u.split == args.split]
     if not utts:
-        raise DataError(f"split {args.split!r} is empty")
+        raise ValueError(f"split {args.split!r} is empty")
     checkpoint = Path(args.checkpoint)
     if not checkpoint.is_file():
-        raise DataError(f"checkpoint not found: {args.checkpoint}")
+        raise ValueError(f"checkpoint not found: {args.checkpoint}")
     before = hashlib.sha256(checkpoint.read_bytes()).hexdigest()
     model = SpdpModel(cfg, _load_vocab(cfg))
     restore_params(model.params(), load_checkpoint(checkpoint))
@@ -216,7 +204,7 @@ def _evaluate_checkpoint(args: argparse.Namespace) -> tuple[Path, MetricsReport]
     try:
         report = evaluate(model, utts, records_out=tmp)
         if hashlib.sha256(checkpoint.read_bytes()).hexdigest() != before:
-            raise DataError("checkpoint changed during evaluation")
+            raise ValueError("checkpoint changed during evaluation")
         os.replace(tmp, out / "predictions.jsonl")
     finally:
         tmp.unlink(missing_ok=True)
@@ -245,21 +233,22 @@ def cmd_filter(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
     wav_dir = Path(args.wav_dir)
     if not wav_dir.is_dir():
-        raise DataError(f"not a directory: {wav_dir}")
+        raise ValueError(f"not a directory: {wav_dir}")
     planted = None
     if args.truth:
         if not Path(args.truth).is_file():
-            raise DataError(f"truth file not found: {args.truth}")
+            raise ValueError(f"truth file not found: {args.truth}")
         try:
             truth = json.loads(Path(args.truth).read_text(encoding="utf-8"))
         except ValueError as err:
-            raise DataError(f"--truth {args.truth}: not valid JSON: {err}") from err
+            raise ValueError(f"--truth {args.truth}: not valid JSON: {err}") from err
         if not isinstance(truth, dict):
-            raise DataError(f"--truth {args.truth}: expected a JSON object of filename: planted")
+            raise ValueError(f"--truth {args.truth}: expected a JSON object of "
+                             "filename: planted")
         planted = {k for k, v in truth.items() if v}
     paths = sorted(wav_dir.glob("*.wav"))
     if not paths:
-        raise DataError(f"no WAV files in {wav_dir}")
+        raise ValueError(f"no WAV files in {wav_dir}")
     features, names, skipped = [], [], 0
     for path in paths:
         try:
@@ -270,7 +259,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
             skipped += 1
             print(f"warning: skipping {path.name}: {err}", file=sys.stderr)
     if not features:
-        raise DataError("no readable WAV files")
+        raise ValueError("no readable WAV files")
     bins = compute_bins(features)
     kept = [(name, fv) for name, fv in zip(names, features)
             if filter_high_expressivity(fv, bins)]
@@ -367,15 +356,12 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as err:
         print(f"usage error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as err:
+    except ValueError as err:
         print(f"data error: {err}", file=sys.stderr)
         return EXIT_DATA
     except FloatingPointError as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -52,10 +52,10 @@ class CorpusConfig:
             raise ValueError("train_fraction must lie in (0, 1)")
 
 
-def class_centroids(feat_dim: int, n_classes: int = N_CLASSES) -> np.ndarray:
+def class_centroids(feat_dim: int) -> np.ndarray:
     """Fixed unit-norm class directions, independent of the corpus seed."""
     rng = np.random.default_rng(7)
-    c = rng.normal(size=(n_classes, feat_dim))
+    c = rng.normal(size=(N_CLASSES, feat_dim))
     return c / np.linalg.norm(c, axis=1, keepdims=True)
 
 

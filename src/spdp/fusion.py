@@ -38,14 +38,7 @@ class FusionConfig:
             raise ValueError("loss weights must be nonnegative")
 
 
-class NonFiniteLoss(FloatingPointError, ValueError):
-    """A NaN loss: a numeric failure (CLI exit 3) that is also a ValueError."""
-
-
 def total_loss(l_serial, l_parallel, cfg: FusionConfig) -> Tensor:
-    l_serial, l_parallel = T.as_tensor(l_serial), T.as_tensor(l_parallel)
-    if np.isnan(l_serial.data).any() or np.isnan(l_parallel.data).any():
-        raise NonFiniteLoss("loss is NaN")
     return T.add(T.mul(l_serial, cfg.alpha), T.mul(l_parallel, cfg.beta))
 
 

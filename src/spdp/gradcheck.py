@@ -16,16 +16,18 @@ import numpy as np
 
 from .tensor import Tensor
 
+H = 1e-5     # central-difference step
+
 
 def grad_check(loss_fn: Callable[[], Tensor], params: dict[str, Tensor],
-               h: float = 1e-5, max_coords_per_param: int | None = None,
+               max_coords_per_param: int | None = None,
                rng: np.random.Generator | None = None) -> dict[str, float]:
     """Compare analytic gradients of ``loss_fn`` against central differences.
 
     Returns the max relative error per parameter. When
     ``max_coords_per_param`` is set, that many coordinates are sampled
     uniformly per tensor (every tensor is still covered); otherwise all
-    coordinates are checked.
+    coordinates are checked. Perturbations go into ``p.data`` in place.
     """
     for p in params.values():
         p.grad = None
@@ -38,8 +40,8 @@ def grad_check(loss_fn: Callable[[], Tensor], params: dict[str, Tensor],
         rng = np.random.default_rng(0)
     report: dict[str, float] = {}
     for name, p in params.items():
-        flat = p.data.reshape(-1)
-        n = flat.size
+        flat = p.data.flat
+        n = p.data.size
         if max_coords_per_param is not None and n > max_coords_per_param:
             coords = rng.choice(n, size=max_coords_per_param, replace=False)
         else:
@@ -48,12 +50,12 @@ def grad_check(loss_fn: Callable[[], Tensor], params: dict[str, Tensor],
         a_flat = analytic[name].reshape(-1)
         for i in coords:
             saved = flat[i]
-            flat[i] = saved + h
+            flat[i] = saved + H
             up = loss_fn().item()
-            flat[i] = saved - h
+            flat[i] = saved - H
             down = loss_fn().item()
             flat[i] = saved
-            numeric = (up - down) / (2.0 * h)
+            numeric = (up - down) / (2.0 * H)
             denom = max(abs(a_flat[i]), abs(numeric), 1e-5)
             worst = max(worst, abs(a_flat[i] - numeric) / denom)
         report[name] = worst

@@ -17,6 +17,7 @@ from .tensor import Tensor
 
 N_HEADS = 4     # attention heads in every TransformerLayer
 FFN_MULT = 4    # feed-forward width as a multiple of the model width
+CONV_KERNEL = 3  # temporal conv width, padded by CONV_KERNEL // 2 on each side
 
 
 def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Tensor:
@@ -77,15 +78,13 @@ class Embedding(Module):
 class Conv1d(Module):
     """Temporal conv over (B, T, C_in); kernel 3, padding 1 keeps ceil(T/stride)."""
 
-    def __init__(self, rng: np.random.Generator, c_in: int, c_out: int,
-                 kernel: int = 3, stride: int = 1):
-        self.weight = _uniform_init(rng, (kernel, c_in, c_out), kernel * c_in)
+    def __init__(self, rng: np.random.Generator, c_in: int, c_out: int, stride: int = 1):
+        self.weight = _uniform_init(rng, (CONV_KERNEL, c_in, c_out), CONV_KERNEL * c_in)
         self.bias = Tensor(np.zeros(c_out), requires_grad=True)
         self.stride = stride
-        self.padding = (kernel - 1) // 2
 
     def __call__(self, x: Tensor) -> Tensor:
-        return T.conv1d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+        return T.conv1d(x, self.weight, self.bias, stride=self.stride, padding=CONV_KERNEL // 2)
 
 
 class KVCache:

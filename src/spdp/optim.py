@@ -10,15 +10,15 @@ import numpy as np
 
 from .tensor import Tensor
 
+BETA1, BETA2 = 0.9, 0.999   # moment decay rates
+EPS = 1e-8                  # added to the second-moment root
+
 
 class AdamW:
     def __init__(self, params: dict[str, Tensor], lr: float = 1e-3,
-                 betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, weight_decay: float = 0.01):
+                 weight_decay: float = 0.01):
         self.params = dict(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in self.params.items()}
@@ -31,8 +31,8 @@ class AdamW:
     def step(self) -> None:
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         for name, p in self.params.items():
             if p.grad is None:
                 continue
@@ -41,11 +41,11 @@ class AdamW:
                 p.data *= 1.0 - self.lr * self.weight_decay
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
     # -- resumable state ------------------------------------------------------
 

@@ -60,7 +60,7 @@ class ParallelPathModel(Module):
         self.sub_a = Linear(rng, d, n * d)
         self.sub_t = Linear(rng, d, n * d)
         for lin in (self.sub_a, self.sub_t):
-            lin.w.data = lin.w.data.reshape(n, d, d).transpose(1, 0, 2).reshape(d, n * d)
+            lin.w.data[...] = lin.w.data.reshape(n, d, d).transpose(1, 0, 2).reshape(d, n * d)
         self.proj_r = Linear(rng, d, cfg.ref_dim)
         self.classifier = [TransformerLayer(rng, cfg.rep_dim) for _ in range(CLASSIFIER_LAYERS)]
         self.final_norm = LayerNorm(cfg.rep_dim)
@@ -98,7 +98,7 @@ class ParallelPathModel(Module):
         """(B, T, d) pair -> (B, T, N): one cosine per subspace and frame."""
         split = h_a.shape[:2] + (self.cfg.n_subspaces, self.cfg.d_shared)
         return T.cosine_sim(T.reshape(self.sub_a(h_a), split),
-                            T.reshape(self.sub_t(h_t_al), split), axis=-1)
+                            T.reshape(self.sub_t(h_t_al), split))
 
     # -- stage 4: semantic reference and concatenation ---------------------------
 

@@ -161,9 +161,6 @@ class SerialModel(Module):
         an item's transcript length are padding that the parallel path masks.
         """
         batch = len(prompts)
-        for tgt in targets:
-            if tgt.count(STYLE_OPEN_ID) != 1:
-                raise ValueError("target must contain exactly one style-open token")
         text_rows = [list(p) + list(t[:-1]) for p, t in zip(prompts, targets)]
         t_len = max(len(row) for row in text_rows)
         text_ids = np.full((batch, t_len), PAD_ID, dtype=np.int64)
@@ -239,8 +236,6 @@ def _gather_transcript(hidden: Tensor, prompts: list[list[int]],
     """
     batch = len(prompts)
     s_max = max(transcript_lens)
-    if s_max < 1:
-        raise ValueError("empty transcript")
     pos = np.zeros((batch, s_max), dtype=np.int64)
     for i, (p, k) in enumerate(zip(prompts, transcript_lens)):
         pos[i, :k] = len(p) + np.arange(k)

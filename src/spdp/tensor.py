@@ -329,33 +329,25 @@ def gelu(a) -> Tensor:
 # -- reductions ----------------------------------------------------------------
 
 
-def _restore_axes(g: np.ndarray, axis, keepdims: bool, src_shape: tuple[int, ...]) -> np.ndarray:
-    if axis is None:
-        return np.broadcast_to(g, src_shape)
-    if not keepdims:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        for ax in sorted(a % len(src_shape) for a in axes):
-            g = np.expand_dims(g, ax)
-    return np.broadcast_to(g, src_shape)
-
-
-def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
+def tsum(a, axis=None) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims))
+    out = Tensor(a.data.sum(axis=axis))
 
     def bw(g):
-        a._accum_grad(_restore_axes(g, axis, keepdims, a.data.shape))
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        a._accum_grad(np.broadcast_to(g, a.data.shape))
 
     return _attach(out, (a,), bw)
 
 
-def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
+def tmean(a) -> Tensor:
     a = as_tensor(a)
-    out = Tensor(a.data.mean(axis=axis, keepdims=keepdims))
-    count = a.data.size / out.data.size
+    out = Tensor(a.data.mean())
+    count = a.data.size
 
     def bw(g):
-        a._accum_grad(_restore_axes(g, axis, keepdims, a.data.shape) / count)
+        a._accum_grad(np.broadcast_to(g, a.data.shape) / count)
 
     return _attach(out, (a,), bw)
 
@@ -552,14 +544,14 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 # -- similarity and losses -----------------------------------------------------
 
 
-def cosine_sim(u, v, axis: int = -1, eps: float = 1e-8) -> Tensor:
-    """Cosine similarity along ``axis``; eps is added to the norm product."""
+def cosine_sim(u, v) -> Tensor:
+    """Cosine similarity along the last axis; 1e-8 is added to the norm product."""
     u, v = as_tensor(u), as_tensor(v)
     if u.shape != v.shape:
         raise ValueError("cosine_sim operands must have identical shapes")
-    dot = tsum(mul(u, v), axis=axis)
-    norms = mul(sqrt(tsum(mul(u, u), axis=axis)), sqrt(tsum(mul(v, v), axis=axis)))
-    return div(dot, add(norms, eps))
+    dot = tsum(mul(u, v), axis=-1)
+    norms = mul(sqrt(tsum(mul(u, u), axis=-1)), sqrt(tsum(mul(v, v), axis=-1)))
+    return div(dot, add(norms, 1e-8))
 
 
 def token_cross_entropy(logits, targets: np.ndarray, loss_mask: np.ndarray) -> Tensor:

@@ -26,7 +26,7 @@ from .optim import AdamW
 from .parallel import ParallelPathModel
 from .serial import SerialModel
 from .tensor import Tensor
-from .vocab import N_CLASSES, Vocab, build_vocab
+from .vocab import N_CLASSES, STYLE_CLOSE_ID, Vocab, build_vocab
 
 NO_LINGUISTIC_EVIDENCE = "NoLinguisticEvidence"
 
@@ -80,11 +80,23 @@ def make_out_dir(path: str | Path) -> Path:
 def train(model: SpdpModel, train_utts: list[Utterance], out_dir: str | Path) -> TrainResult:
     """Optimize the weighted dual loss; logs, checkpoints, and resumes.
 
-    The decode budget and any ``run_cfg.resume`` restore are checked before
-    out_dir is made. It then gets vocab.tsv, the JSON-lines step log
+    Before out_dir is made it refuses an empty ``train_utts`` and any
+    transcript that is empty or holds an id that is not a word, so each
+    target is ``transcript < label > <eos>``; then it checks the decode
+    budget and restores ``run_cfg.resume``. out_dir gets vocab.tsv,
     train_log.jsonl (appended to on resume) and one ckpt-epoch-N.spdp per
     epoch. ``max_steps`` caps the step count across resumes.
     """
+    if not train_utts:
+        raise ValueError("no training utterances in corpus")
+    n_vocab = len(model.vocab)
+    for u in train_utts:
+        if not u.transcript:
+            raise ValueError(f"utterance {u.id}: empty transcript")
+        bad = [t for t in u.transcript if not STYLE_CLOSE_ID < t < n_vocab]
+        if bad:
+            raise ValueError(f"utterance {u.id}: token id {bad[0]} is not a word of the "
+                             f"vocabulary ({STYLE_CLOSE_ID + 1}..{n_vocab - 1})")
     cfg = model.run_cfg
     fusion_cfg = cfg.fusion_config()
     all_targets = [model.vocab.build_target(u.transcript, u.gold_style)

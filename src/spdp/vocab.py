@@ -94,9 +94,7 @@ class Vocab:
     # -- serial-target construction -------------------------------------------
 
     def build_target(self, transcript_ids: list[int], style_idx: int) -> list[int]:
-        """transcript ++ "<" ++ label words ++ ">" ++ EOS, validated."""
-        if STYLE_OPEN_ID in transcript_ids:
-            raise ValueError("style-open token inside transcript")
+        """transcript ++ "<" ++ label words ++ ">" ++ EOS; ``train`` checks the transcript."""
         return list(transcript_ids) + [STYLE_OPEN_ID] + self.label_token_ids[style_idx] \
             + [STYLE_CLOSE_ID, EOS_ID]
 

@@ -142,6 +142,18 @@ def test_gradcheck_missing_config_file_is_data_error(tmp_path, capsys):
     assert "config file not found" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case", ["missing-config", "out-is-a-file"])
+def test_every_data_error_message_has_one_prefix(tmp_path, capsys, case):
+    out = tmp_path / "out"
+    argv = ["gen-data", "--out", str(out)]
+    if case == "missing-config":
+        argv += ["--config", str(tmp_path / "nope.cfg")]
+    else:
+        out.write_text("keep", encoding="utf-8")
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error: ")
+
+
 @pytest.mark.parametrize("path", ["", "."])
 def test_config_path_that_is_not_a_file_is_data_error(tmp_path, capsys, path):
     assert main(["gen-data", "--config", path, "--out", str(tmp_path)]) == EXIT_DATA
@@ -162,6 +174,13 @@ def test_gen_data_outputs(workspace):
     truth = json.loads((data / "wav" / "truth.json").read_text())
     assert len(truth) == 20
     assert len(list((data / "wav").glob("*.wav"))) == 20
+
+
+def test_negative_wav_fixture_count_is_usage_error_before_any_output(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["gen-data", "--out", str(out), "--wav-fixtures", "-5"]) == EXIT_USAGE
+    assert "--wav-fixtures must be >= 0, got -5" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- train ------------------------------------------------------------------------------
@@ -536,7 +555,7 @@ def test_train_nan_loss_is_numeric_failure(workspace, tmp_path, capsys):
     save_checkpoint(poisoned, blobs)
     assert main(["train", "--config", str(workspace["cfg"]), "--out", str(tmp_path / "r"),
                  "--resume", str(poisoned)]) == EXIT_NUMERIC
-    assert "loss is NaN" in capsys.readouterr().err
+    assert "non-finite loss at step 4; batch ids: " in capsys.readouterr().err
 
 
 MANIFEST_KEYS = ["id", "style", "transcript", "split", "frames_offset"]
@@ -558,7 +577,8 @@ def test_train_on_a_malformed_manifest_record_is_data_error(workspace, tmp_path,
     assert "manifest.jsonl line 3: " in err and repr(key) in err
 
 
-@pytest.mark.parametrize("transcript, bad_id", [([9999], 9999), ([-1, 5], -1)])
+@pytest.mark.parametrize("transcript, bad_id", [([9999], 9999), ([-1, 5], -1), ([5, 2], 2),
+                                                ([1], 1), ([0, 5], 0), ([3], 3)])
 def test_train_on_a_token_id_outside_the_vocabulary_is_data_error(workspace, tmp_path, capsys,
                                                                   transcript, bad_id):
     def edit(rec):
@@ -569,7 +589,8 @@ def test_train_on_a_token_id_outside_the_vocabulary_is_data_error(workspace, tmp
     out = tmp_path / "r"
     assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_DATA
     err = capsys.readouterr().err
-    assert f"utterance utt-0-00000: token id {bad_id} is outside the vocabulary 0..120" in err
+    assert (f"utterance utt-0-00000: token id {bad_id} is not a word of the vocabulary "
+            "(4..120)") in err
     assert not (out / "vocab.tsv").exists()
 
 

@@ -99,3 +99,48 @@ def test_every_public_definition_has_a_caller():
     bench = sorted((SRC.parent.parent / "perfbench").glob("*.py"))
     callers = trees + [ast.parse(p.read_text(encoding="utf-8")) for p in bench]
     assert unused_definitions(trees, callers) == sorted(TEST_ONLY_API)
+
+
+# The exception types ``cli.main`` maps to an exit code: 1, 2 and 3.
+EXIT_EXCEPTIONS = {"UsageError", "ValueError", "FloatingPointError"}
+# (module, function, raised name) pairs that never reach ``main``.
+RAISE_ALLOWLIST = {
+    # caught in the same function and re-raised as ValueError
+    ("checkpoint.py", "load_checkpoint", "struct.error"),
+}
+
+
+def unmapped_exceptions(module: str, source: str) -> list[str]:
+    """Each exception class ``source`` defines, and each ``raise`` that names a
+    type, outside ``EXIT_EXCEPTIONS``; a bare re-raise passes."""
+    found: list[str] = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef) and child.name not in EXIT_EXCEPTIONS and any(
+                    ast.unparse(b).endswith(("Error", "Exception")) for b in child.bases):
+                found.append(f"class {child.name}")
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                name = ast.unparse(exc)
+                if name not in EXIT_EXCEPTIONS and (module, where, name) not in RAISE_ALLOWLIST:
+                    found.append(f"{where}: raise {name}")
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_check_finds_an_exception_type_with_no_exit_code():
+    source = ("class DataError(Exception):\n    pass\n"
+              "def load(path):\n"
+              "    try:\n        return open(path)\n"
+              "    except OSError:\n        raise\n"
+              "    if not path:\n        raise DataError('no path')\n"
+              "    raise ValueError(path)\n")
+    assert unmapped_exceptions("box.py", source) == ["class DataError", "load: raise DataError"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_every_raise_has_an_exit_code(path):
+    assert unmapped_exceptions(path.name, path.read_text(encoding="utf-8")) == []

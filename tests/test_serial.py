@@ -75,11 +75,6 @@ def test_build_target_structure():
     assert [VOCAB.id_to_token[i] for i in label_span] == STYLE_LABELS[1].split()
 
 
-def test_build_target_rejects_style_open_in_transcript():
-    with pytest.raises(ValueError, match="style-open token inside transcript"):
-        VOCAB.build_target([5, STYLE_OPEN_ID], 0)
-
-
 def test_every_built_target_has_unique_style_open():
     rng = np.random.default_rng(0)
     for _ in range(64):
@@ -179,14 +174,6 @@ def test_batched_loss_is_token_weighted_mean_of_rows():
         total += row_loss.data * len(targets[i])
         count += len(targets[i])
     npt.assert_allclose(batched.data, total / count, atol=1e-10)
-
-
-def test_target_without_style_open_rejected():
-    model = make_model()
-    prefix, _ = prepare_audio(model)
-    bad = VOCAB.class_blocks[0][:3] + [EOS_ID]
-    with pytest.raises(ValueError, match="exactly one style-open token"):
-        model.teacher_forced_loss(prefix, [VOCAB.prompt_pool[0]], [bad], [3])
 
 
 # -- decoder causality ----------------------------------------------------------------

@@ -450,6 +450,17 @@ def test_grad_check_quadratic():
     npt.assert_allclose(theta.grad, [6.0])
 
 
+def test_grad_check_perturbs_a_non_contiguous_parameter_in_place():
+    rng = np.random.default_rng(4)
+    p = Tensor(rng.normal(size=(4, 3)).T, requires_grad=True)
+    assert p.shape == (3, 4) and not p.data.flags.c_contiguous
+
+    def loss():
+        return T.tsum(T.mul(p, p))
+
+    assert grad_check(loss, {"p": p})["p"] < 1e-6
+
+
 def test_grad_check_flags_corrupted_backward():
     rng = np.random.default_rng(9)
     x = Tensor(rng.normal(size=6), requires_grad=True)

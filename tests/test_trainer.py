@@ -68,6 +68,29 @@ def test_train_rejects_too_small_decode_budget(tmp_path):
         train(model, [u for u in utts if u.split == "train"], tmp_path)
 
 
+@pytest.mark.parametrize("transcript, message", [
+    (None, "no training utterances in corpus"),
+    ([], "utterance utt-0-00000: empty transcript"),
+    ([9999], "utterance utt-0-00000: token id 9999 is not a word of the vocabulary (4..120)"),
+    ([5, 2], "utterance utt-0-00000: token id 2 is not a word of the vocabulary (4..120)"),
+    ([1, 5], "utterance utt-0-00000: token id 1 is not a word of the vocabulary (4..120)"),
+], ids=["no-utterances", "empty", "out-of-range", "style-open", "eos"])
+def test_train_refuses_bad_transcripts_before_any_output(tmp_path, transcript, message):
+    cfg = small_run_config()
+    model = SpdpModel(cfg)
+    utts = [u for u in generate_corpus(cfg.corpus_config(), model.vocab) if u.split == "train"]
+    if transcript is None:
+        utts = []
+    else:
+        assert utts[0].id == "utt-0-00000"
+        utts[0].transcript = transcript
+    out = tmp_path / "out"
+    with pytest.raises(ValueError) as err:
+        train(model, utts, out)
+    assert message in str(err.value)
+    assert not out.exists()
+
+
 def test_restore_writes_parameters_and_moments_in_place(tmp_path):
     cfg = small_run_config()
     trained = SpdpModel(cfg)
@@ -96,7 +119,7 @@ def test_poisoned_weights_fail_fast_as_nan_loss(tmp_path):
     utts = generate_corpus(cfg.corpus_config(), model.vocab)
     bad = next(iter(model.params().values()))
     bad.data[...] = np.inf
-    with pytest.raises(ValueError, match="loss is NaN"):
+    with pytest.raises(FloatingPointError, match="non-finite loss at step 1; batch ids: "):
         train(model, [u for u in utts if u.split == "train"], tmp_path)
 
 
