@@ -246,6 +246,8 @@ def cmd_filter(args: argparse.Namespace) -> int:
             raise ValueError(f"--truth {args.truth}: expected a JSON object of "
                              "filename: planted")
         planted = {k for k, v in truth.items() if v}
+        if not planted:
+            raise ValueError(f"--truth {args.truth}: plants no file, so recall is undefined")
     paths = sorted(wav_dir.glob("*.wav"))
     if not paths:
         raise ValueError(f"no WAV files in {wav_dir}")
@@ -282,7 +284,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
             f"{counts['filtered']} high-expressivity -> {counts['retained']} retained")
     if planted is not None:
         hits = sum(1 for name, _ in kept if name in planted)
-        counts["planted_recall"] = hits / len(planted) if planted else 0.0
+        counts["planted_recall"] = hits / len(planted)
         line += f"; planted recall {counts['planted_recall']:.3f}"
     with open(out / "curated.jsonl", "w", encoding="utf-8") as fh:
         for rec in retained:

@@ -9,6 +9,7 @@ set first; explicit keys then override it.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -64,11 +65,18 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         """Refuse an out-of-range value at once; each module config checks itself."""
+        for f in dataclasses.fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         for field, low in (("epochs", 1), ("max_steps", 0), ("batch_size", 1)):
             if getattr(self, field) < low:
                 raise ValueError(f"{field} must be >= {low}, got {getattr(self, field)}")
         if not self.lr > 0:
             raise ValueError(f"lr must be > 0, got {self.lr}")
+        if self.weight_decay < 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.lr * self.weight_decay >= 1:     # AdamW scales weights by 1 - lr * wd
+            raise ValueError(f"lr * weight_decay must be < 1, got {self.lr * self.weight_decay}")
         for build in (self.corpus_config, self.parallel_config, self.fusion_config):
             build()
         self.serial_config(vocab_size=1)    # the widths; the vocabulary comes later

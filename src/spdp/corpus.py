@@ -46,6 +46,8 @@ class CorpusConfig:
         for field in ("frames_per_utt", "feat_dim"):
             if getattr(self, field) < 1:
                 raise ValueError(f"{field} must be >= 1, got {getattr(self, field)}")
+        if not 0.0 <= self.spread < np.inf:
+            raise ValueError(f"spread must be finite and >= 0, got {self.spread}")
         if not 0.0 <= self.coupling <= 1.0:
             raise ValueError("coupling must lie in [0, 1]")
         if not 0.0 < self.train_fraction < 1.0:

@@ -32,6 +32,8 @@ class FusionConfig:
     beta: float = 0.5
 
     def __post_init__(self) -> None:
+        if not np.isfinite([self.a, self.b, self.alpha, self.beta]).all():
+            raise ValueError("fusion and loss weights must be finite")
         if self.a < 0 or self.b < 0 or self.a + self.b <= 0:
             raise ValueError("fusion weights must be nonnegative with a + b > 0")
         if self.alpha < 0 or self.beta < 0:

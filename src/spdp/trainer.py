@@ -5,13 +5,14 @@ vocabulary. A training step encodes a batch, computes the teacher-forced
 serial loss, feeds the exported acoustic/linguistic embeddings to the
 parallel path, and optimizes the weighted sum of the two losses. Everything
 is seeded: parameter init from the run seed, per-epoch shuffling and prompt
-sampling from (seed, epoch), so runs are bit-reproducible and resumable at
-epoch granularity.
+sampling from (seed, epoch), and the step count fixes the epoch and batch, so
+runs are bit-reproducible and resume from any checkpoint to the same bytes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -77,15 +78,42 @@ def make_out_dir(path: str | Path) -> Path:
     return out
 
 
+def _log_prefix(path: Path, step: int) -> int:
+    """Bytes of the log at ``path`` that hold its leading records with step <= ``step``.
+
+    A record is a whole line; a last line with no newline is one cut short.
+    """
+    if not path.is_file():
+        return 0
+    keep = 0
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.endswith(b"\n"):
+                break
+            try:
+                rec = json.loads(line)
+            except ValueError:
+                rec = None
+            if not (isinstance(rec, dict) and type(rec.get("step")) is int):
+                raise ValueError(f"{path}:{lineno}: expected a JSON object with an integer "
+                                 f"'step', got {line.decode('utf-8', 'replace')[:60]!r}")
+            if rec["step"] > step:
+                break
+            keep += len(line)
+    return keep
+
+
 def train(model: SpdpModel, train_utts: list[Utterance], out_dir: str | Path) -> TrainResult:
     """Optimize the weighted dual loss; logs, checkpoints, and resumes.
 
     Before out_dir is made it refuses an empty ``train_utts`` and any
     transcript that is empty or holds an id that is not a word, so each
     target is ``transcript < label > <eos>``; then it checks the decode
-    budget and restores ``run_cfg.resume``. out_dir gets vocab.tsv,
-    train_log.jsonl (appended to on resume) and one ckpt-epoch-N.spdp per
-    epoch. ``max_steps`` caps the step count across resumes.
+    budget, restores ``run_cfg.resume`` and reads the log a resume keeps.
+    out_dir gets vocab.tsv, train_log.jsonl (on resume, cut back to the
+    checkpoint's step, then extended) and one ckpt-epoch-N.spdp per epoch,
+    saved after the epoch's last batch or at the stop. The position is the
+    optimizer's step count alone; ``max_steps`` caps it across resumes.
     """
     if not train_utts:
         raise ValueError("no training utterances in corpus")
@@ -104,53 +132,54 @@ def train(model: SpdpModel, train_utts: list[Utterance], out_dir: str | Path) ->
     if model.serial.cfg.max_decode_len < max(map(len, all_targets)) + 4:
         raise ValueError("max_decode_len must be at least the longest target + 4")
     optimizer = AdamW(model.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    start_epoch = 0
+    keep = 0                # bytes of an existing log that the run keeps
     if cfg.resume:
         blobs = load_checkpoint(cfg.resume)
         restore_params(model.params() | optimizer.state_tensors(), blobs)
         optimizer.step_count = require_count(blobs, "opt.step")
-        start_epoch = require_count(blobs, "meta.epoch") + 1
+        keep = _log_prefix(Path(out_dir) / "train_log.jsonl", optimizer.step_count)
     out_dir = make_out_dir(out_dir)
     model.vocab.save(out_dir / "vocab.tsv")
     result = TrainResult(steps=optimizer.step_count)
     pool = model.vocab.prompt_pool
-    with open(out_dir / "train_log.jsonl", "a" if cfg.resume else "w",
-              encoding="utf-8") as log_fh:
-        for epoch in range(start_epoch, cfg.epochs):
-            if cfg.max_steps and optimizer.step_count >= cfg.max_steps:
-                break
-            rng = _epoch_rng(cfg.seed, epoch)
-            order = rng.permutation(len(train_utts))
-            prompt_ids = rng.integers(0, len(pool), size=len(train_utts))
-            for lo in range(0, len(order), cfg.batch_size):
-                sel = order[lo:lo + cfg.batch_size]
-                batch = [train_utts[i] for i in sel]
-                frames = np.stack([u.frames for u in batch])
-                labels = np.array([u.gold_style for u in batch])
-                prompts = [pool[prompt_ids[i]] for i in sel]
-                targets = [all_targets[i] for i in sel]
-                t_lens = [len(u.transcript) for u in batch]
-                l_s, l_p = model.batch_losses(frames, labels, prompts, targets, t_lens)
-                l_total = total_loss(l_s, l_p, fusion_cfg)
-                if not np.isfinite(l_total.data).all():
-                    raise FloatingPointError(
-                        "non-finite loss at step "
-                        f"{optimizer.step_count + 1}; batch ids: "
-                        + ",".join(u.id for u in batch))
-                optimizer.zero_grad()
-                l_total.backward()
-                optimizer.step()
-                rec = {"step": optimizer.step_count,
-                       "L_serial": float(l_s.data), "L_parallel": float(l_p.data),
-                       "L_total": float(l_total.data)}
-                result.log.append(rec)
-                log_fh.write(json.dumps(rec) + "\n")
-                if cfg.max_steps and optimizer.step_count >= cfg.max_steps:
-                    break
-            save_checkpoint(out_dir / f"ckpt-epoch-{epoch}.spdp", model.params()
-                            | {"opt.step": Tensor(np.array([float(optimizer.step_count)]))}
-                            | optimizer.state_tensors()
-                            | {"meta.epoch": Tensor(np.array([float(epoch)]))})
+    per_epoch = math.ceil(len(train_utts) / cfg.batch_size)
+    start = optimizer.step_count
+    stop = min(cfg.epochs * per_epoch, cfg.max_steps or math.inf)
+    with open(out_dir / "train_log.jsonl", "a", encoding="utf-8") as log_fh:
+        log_fh.truncate(keep)
+        for step in range(start, stop):
+            epoch, b = divmod(step, per_epoch)
+            if b == 0 or step == start:
+                rng = _epoch_rng(cfg.seed, epoch)
+                order = rng.permutation(len(train_utts))
+                prompt_ids = rng.integers(0, len(pool), size=len(train_utts))
+            sel = order[b * cfg.batch_size:(b + 1) * cfg.batch_size]
+            batch = [train_utts[i] for i in sel]
+            frames = np.stack([u.frames for u in batch])
+            labels = np.array([u.gold_style for u in batch])
+            prompts = [pool[prompt_ids[i]] for i in sel]
+            targets = [all_targets[i] for i in sel]
+            t_lens = [len(u.transcript) for u in batch]
+            l_s, l_p = model.batch_losses(frames, labels, prompts, targets, t_lens)
+            l_total = total_loss(l_s, l_p, fusion_cfg)
+            if not np.isfinite(l_total.data).all():
+                raise FloatingPointError(
+                    "non-finite loss at step "
+                    f"{optimizer.step_count + 1}; batch ids: "
+                    + ",".join(u.id for u in batch))
+            optimizer.zero_grad()
+            l_total.backward()
+            optimizer.step()
+            rec = {"step": optimizer.step_count,
+                   "L_serial": float(l_s.data), "L_parallel": float(l_p.data),
+                   "L_total": float(l_total.data)}
+            result.log.append(rec)
+            log_fh.write(json.dumps(rec) + "\n")
+            if b == per_epoch - 1 or step + 1 == stop:
+                log_fh.flush()      # the log on disk covers every checkpoint
+                save_checkpoint(out_dir / f"ckpt-epoch-{epoch}.spdp", model.params()
+                                | {"opt.step": Tensor(np.array([float(optimizer.step_count)]))}
+                                | optimizer.state_tensors())
     result.steps = optimizer.step_count
     return result
 

@@ -78,9 +78,6 @@ class Vocab:
             raise ValueError("style-label first tokens must be pairwise distinct")
         self.prompt_pool = [self.encode(p.split()) for p in PROMPT_TEXTS]
         self.class_blocks = [self.encode(block) for block in CLASS_WORD_BLOCKS]
-        for seq in self.prompt_pool + self.class_blocks:
-            if STYLE_OPEN_ID in seq:
-                raise ValueError("style-open token leaked into prompt or transcript words")
 
     def __len__(self) -> int:
         return len(self.id_to_token)

@@ -110,9 +110,19 @@ def test_config_line_without_equals_is_usage_error_naming_file_and_line(tmp_path
     ("eval", "max_decode_len = -2", "max_decode_len must be >= 1, got -2"),
     ("gen-data", "frames_per_utt = 0", "frames_per_utt must be >= 1, got 0"),
     ("gen-data", "feat_dim = 0", "feat_dim must be >= 1, got 0"),
+    ("train", "lr = inf", "lr must be finite, got inf"),
+    ("train", "weight_decay = nan", "weight_decay must be finite, got nan"),
+    ("train", "weight_decay = -5000", "weight_decay must be >= 0, got -5000.0"),
+    ("train", "weight_decay = 400", "lr * weight_decay must be < 1, got 1.2"),
+    ("gen-data", "spread = nan", "spread must be finite, got nan"),
+    ("gen-data", "spread = -0.5", "spread must be finite and >= 0, got -0.5"),
+    ("eval", "fusion_a = inf", "fusion_a must be finite, got inf"),
+    ("train", "loss_alpha = inf", "loss_alpha must be finite, got inf"),
 ], ids=["negative-loss-weight", "negative-fusion-weight", "batch-size-0", "epochs-negative",
         "max-steps-negative", "lr-negative", "enc-dim-30", "dec-dim-46", "max-decode-len-negative",
-        "frames-per-utt-0", "feat-dim-0"])
+        "frames-per-utt-0", "feat-dim-0", "lr-inf", "weight-decay-nan", "weight-decay-negative",
+        "decay-factor-not-positive", "spread-nan", "spread-negative", "fusion-a-inf",
+        "loss-alpha-inf"])
 def test_config_value_out_of_range_is_usage_error_before_any_output(workspace, tmp_path,
                                                                    capsys, command,
                                                                    setting, message):
@@ -452,8 +462,8 @@ def test_eval_with_other_dims_than_the_checkpoint_is_data_error(workspace, tmp_p
 
 
 @pytest.mark.parametrize("n_dropped, missing", [
-    (1, "meta.epoch"),
-    (3, "opt.m.parallel.head.b"),
+    (1, "opt.v.parallel.head.b"),
+    (3, "opt.v.parallel.head.w"),
 ])
 def test_resume_from_a_checkpoint_cut_at_a_record_boundary_is_data_error(
         workspace, tmp_path, capsys, n_dropped, missing):
@@ -470,12 +480,12 @@ def test_resume_from_a_checkpoint_cut_at_a_record_boundary_is_data_error(
 
 @pytest.mark.parametrize("name, payload", [
     ("opt.m.serial.head.b", np.zeros(3)),
-    ("meta.epoch", np.array([-3.0])),
-    ("meta.epoch", np.array([1.5])),
+    ("opt.step", np.array([-3.0])),
+    ("opt.step", np.array([1.5])),
     ("opt.step", np.array([np.nan])),
     ("opt.step", np.array([np.inf])),
     ("opt.step", np.array([1.0, 2.0])),
-], ids=["moment-shape", "epoch-negative", "epoch-fraction", "step-nan", "step-inf",
+], ids=["moment-shape", "step-negative", "step-fraction", "step-nan", "step-inf",
         "step-two-elements"])
 def test_resume_from_a_damaged_optimizer_state_is_data_error_before_any_output(
         workspace, tmp_path, capsys, name, payload):
@@ -504,6 +514,79 @@ def test_max_steps_caps_the_step_count_across_resume(workspace, tmp_path, capsys
     assert (run / "train_log.jsonl").read_text() == log
     assert sorted(p.name for p in run.glob("ckpt-*")) == ["ckpt-epoch-0.spdp",
                                                           "ckpt-epoch-1.spdp"]
+
+
+@pytest.fixture(scope="module")
+def three_epochs(workspace):
+    """A config of 3 epochs of 3 steps each, and a straight run of it."""
+    cfg = workspace["root"] / "three.cfg"
+    cfg.write_text(workspace["cfg"].read_text() + "epochs = 3\n", encoding="utf-8")
+    run = workspace["root"] / "three"
+    assert main(["train", "--config", str(cfg), "--out", str(run)]) == EXIT_OK
+    return {"cfg": cfg, "run": run, "log": (run / "train_log.jsonl").read_bytes(),
+            "last": (run / "ckpt-epoch-2.spdp").read_bytes()}
+
+
+@pytest.mark.parametrize("stop", range(1, 9))
+def test_resume_after_any_stop_gives_the_straight_run_bytes(three_epochs, tmp_path, stop):
+    capped = tmp_path / "capped.cfg"
+    capped.write_text(three_epochs["cfg"].read_text() + f"max_steps = {stop}\n",
+                      encoding="utf-8")
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(capped), "--out", str(run)]) == EXIT_OK
+    last = run / f"ckpt-epoch-{(stop - 1) // 3}.spdp"
+    assert main(["train", "--config", str(three_epochs["cfg"]), "--out", str(run),
+                 "--resume", str(last)]) == EXIT_OK
+    assert (run / "train_log.jsonl").read_bytes() == three_epochs["log"]
+    assert (run / "ckpt-epoch-2.spdp").read_bytes() == three_epochs["last"]
+
+
+@pytest.mark.parametrize("tail", ["", '{"step": 10, "L_ser'], ids=["whole", "cut-short"])
+def test_resume_into_a_finished_run_cuts_the_log_back_to_the_checkpoint(three_epochs,
+                                                                        tmp_path, tail):
+    run = tmp_path / "run"
+    shutil.copytree(three_epochs["run"], run)
+    with open(run / "train_log.jsonl", "a", encoding="utf-8") as fh:
+        fh.write(tail)
+    assert main(["train", "--config", str(three_epochs["cfg"]), "--out", str(run),
+                 "--resume", str(run / "ckpt-epoch-0.spdp")]) == EXIT_OK
+    assert (run / "train_log.jsonl").read_bytes() == three_epochs["log"]
+    assert (run / "ckpt-epoch-2.spdp").read_bytes() == three_epochs["last"]
+
+
+def test_resume_from_a_checkpoint_with_an_epoch_record_gives_the_straight_run_bytes(
+        three_epochs, tmp_path):
+    """Older checkpoints end in a ``meta.epoch`` record, which a resume ignores."""
+    capped = tmp_path / "capped.cfg"
+    capped.write_text(three_epochs["cfg"].read_text() + "max_steps = 5\n", encoding="utf-8")
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(capped), "--out", str(run)]) == EXIT_OK
+    old = tmp_path / "old.spdp"
+    save_checkpoint(old, load_checkpoint(run / "ckpt-epoch-1.spdp")
+                    | {"meta.epoch": Tensor(np.array([1.0]))})
+    assert main(["train", "--config", str(three_epochs["cfg"]), "--out", str(run),
+                 "--resume", str(old)]) == EXIT_OK
+    assert (run / "train_log.jsonl").read_bytes() == three_epochs["log"]
+    assert (run / "ckpt-epoch-2.spdp").read_bytes() == three_epochs["last"]
+
+
+@pytest.mark.parametrize("line", ["not json", "[1, 2]", '{"L_total": 1.0}', '{"step": "2"}',
+                                  '{"step": 2.0}'],
+                         ids=["not-json", "not-an-object", "no-step", "step-string",
+                              "step-float"])
+def test_resume_over_a_log_line_without_an_integer_step_is_data_error_before_any_output(
+        three_epochs, tmp_path, capsys, line):
+    run = tmp_path / "run"
+    shutil.copytree(three_epochs["run"], run)
+    log = run / "train_log.jsonl"
+    lines = three_epochs["log"].decode().splitlines(keepends=True)
+    log.write_text(lines[0] + line + "\n" + "".join(lines[2:]), encoding="utf-8")
+    before = {p.name: p.read_bytes() for p in run.iterdir()}
+    assert main(["train", "--config", str(three_epochs["cfg"]), "--out", str(run),
+                 "--resume", str(run / "ckpt-epoch-0.spdp")]) == EXIT_DATA
+    assert (f"{log}:2: expected a JSON object with an integer 'step'"
+            in capsys.readouterr().err)
+    assert {p.name: p.read_bytes() for p in run.iterdir()} == before
 
 
 def _no_train_split(workspace, tmp_path):
@@ -793,6 +876,20 @@ def test_filter_truth_that_is_not_a_json_object_is_data_error(workspace, tmp_pat
                  "--truth", str(truth)]) == EXIT_DATA
     assert f"--truth {truth}: " in capsys.readouterr().err
     assert not (out / "curated.jsonl").exists()
+
+
+@pytest.mark.parametrize("content", ["{}", '{"a.wav": false, "b.wav": 0}'],
+                         ids=["empty", "none-planted"])
+def test_filter_truth_that_plants_no_file_is_data_error_before_any_output(workspace, tmp_path,
+                                                                          capsys, content):
+    truth = tmp_path / "truth.json"
+    truth.write_text(content, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["filter", "--wav-dir", str(workspace["data"] / "wav"), "--out", str(out),
+                 "--truth", str(truth)]) == EXIT_DATA
+    assert (f"--truth {truth}: plants no file, so recall is undefined"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_filter_empty_directory_is_data_error(tmp_path, capsys):

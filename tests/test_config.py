@@ -1,6 +1,7 @@
 """Run-config surface: defaults, profiles, derived module configs, documentation."""
 
 import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -8,6 +9,8 @@ import pytest
 
 from spdp import config
 from spdp.config import RunConfig, make_run_config
+from spdp.corpus import CorpusConfig
+from spdp.fusion import FusionConfig
 from spdp.parallel import ParallelPathConfig
 from spdp.serial import SerialConfig
 
@@ -57,3 +60,18 @@ def test_readme_key_table_lists_exactly_the_run_config_fields():
     keys = _readme_key_table()
     assert len(keys) == len(set(keys))
     assert set(keys) == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+FLOAT_KEYS = [(cls, f.name) for cls in (RunConfig, CorpusConfig, FusionConfig)
+              for f in dataclasses.fields(cls) if f.type in ("float", float)]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cls, key", FLOAT_KEYS,
+                         ids=[f"{cls.__name__}.{key}" for cls, key in FLOAT_KEYS])
+def test_every_float_config_key_refuses_a_non_finite_value(cls, key, value):
+    """Built from the dataclass fields, so a float key added later needs a check too."""
+    with pytest.raises(ValueError) as err:
+        cls(**{key: value})
+    if cls is RunConfig:
+        assert f"{key} must be finite, got {value}" in str(err.value)
