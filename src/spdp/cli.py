@@ -364,6 +364,10 @@ def main(argv: list[str] | None = None) -> int:
     except FloatingPointError as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as err:          # e.g. an output file that cannot be written
+        where = f"{err.filename}: " if err.filename is not None else ""
+        print(f"data error: {where}{err.strerror or err}", file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor import Tensor
+from .tensor import Tensor, no_grad
 
 H = 1e-5     # central-difference step
 
@@ -27,7 +27,9 @@ def grad_check(loss_fn: Callable[[], Tensor], params: dict[str, Tensor],
     Returns the max relative error per parameter. When
     ``max_coords_per_param`` is set, that many coordinates are sampled
     uniformly per tensor (every tensor is still covered); otherwise all
-    coordinates are checked. Perturbations go into ``p.data`` in place.
+    coordinates are checked. Perturbations go into ``p.data`` in place, and
+    the perturbed forwards run under ``no_grad``, so ``loss_fn`` must not
+    depend on whether gradients are on.
     """
     for p in params.values():
         p.grad = None
@@ -50,10 +52,11 @@ def grad_check(loss_fn: Callable[[], Tensor], params: dict[str, Tensor],
         a_flat = analytic[name].reshape(-1)
         for i in coords:
             saved = flat[i]
-            flat[i] = saved + H
-            up = loss_fn().item()
-            flat[i] = saved - H
-            down = loss_fn().item()
+            with no_grad():         # the perturbed forwards are never backpropagated
+                flat[i] = saved + H
+                up = loss_fn().item()
+                flat[i] = saved - H
+                down = loss_fn().item()
             flat[i] = saved
             numeric = (up - down) / (2.0 * H)
             denom = max(abs(a_flat[i]), abs(numeric), 1e-5)

@@ -3,7 +3,11 @@
 The graph is define-by-run: every operation that touches a tensor with
 ``requires_grad=True`` records a closure that propagates gradients to its
 parents. Calling ``backward()`` on a scalar result walks the recorded graph
-once in reverse topological order. All storage is 64-bit, row-major numpy.
+once in reverse topological order and consumes it: each node drops its
+closure, its parents and its gradient as soon as its rule has run, so a
+step's saved activations are gone when the sweep ends. Leaves (parameters)
+keep their gradients, and a second ``backward()`` on the same root raises.
+All storage is 64-bit, row-major numpy.
 """
 
 from __future__ import annotations
@@ -88,11 +92,15 @@ class Tensor:
             self.grad += g
 
     def backward(self) -> None:
-        """Reverse-mode sweep from a scalar output.
+        """Reverse-mode sweep from a scalar output; it consumes the graph.
 
         Every node is visited exactly once, after all of its children, so
         gradient accumulation into shared parents is complete before their
-        own backward closure runs.
+        own backward closure runs. Right after a node's rule runs, the node
+        drops its rule, its parents and (unless it is this root) its
+        gradient, so the saved activations go as the sweep passes them.
+        Leaves have no rule and keep their gradients. A second call on the
+        same root raises ``ValueError``.
         """
         if self.data.size != 1:
             raise ValueError("backward requires a scalar output")
@@ -112,9 +120,20 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue
+            node._backward(node.grad)
+            node._parents = ()
+            if node is self:
+                node._backward = _graph_consumed
+            else:
+                node._backward, node.grad = None, None
+
+
+def _graph_consumed(g: np.ndarray) -> None:
+    raise ValueError("backward() already ran on this graph; its saved values are freed")
 
 
 def as_tensor(x) -> Tensor:
@@ -176,9 +195,9 @@ def mul(a, b) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            a._accum_grad(_unbroadcast(g * b.data, a.data.shape))
+            a._accum_grad(_unbroadcast(g * b.data, a.data.shape), fresh=True)
         if b.requires_grad:
-            b._accum_grad(_unbroadcast(g * a.data, b.data.shape))
+            b._accum_grad(_unbroadcast(g * a.data, b.data.shape), fresh=True)
 
     return _attach(out, (a, b), bw)
 
@@ -189,9 +208,10 @@ def div(a, b) -> Tensor:
 
     def bw(g):
         if a.requires_grad:
-            a._accum_grad(_unbroadcast(g / b.data, a.data.shape))
+            a._accum_grad(_unbroadcast(g / b.data, a.data.shape), fresh=True)
         if b.requires_grad:
-            b._accum_grad(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+            b._accum_grad(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape),
+                          fresh=True)
 
     return _attach(out, (a, b), bw)
 
@@ -201,7 +221,7 @@ def neg(a) -> Tensor:
     out = Tensor(-a.data)
 
     def bw(g):
-        a._accum_grad(-g)
+        a._accum_grad(-g, fresh=True)
 
     return _attach(out, (a,), bw)
 
@@ -212,7 +232,7 @@ def power(a, exponent: float) -> Tensor:
     out = Tensor(a.data ** exponent)
 
     def bw(g):
-        a._accum_grad(g * exponent * a.data ** (exponent - 1.0))
+        a._accum_grad(g * exponent * a.data ** (exponent - 1.0), fresh=True)
 
     return _attach(out, (a,), bw)
 
@@ -227,10 +247,10 @@ def matmul(a, b) -> Tensor:
     def bw(g):
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.data, -1, -2))
-            a._accum_grad(_unbroadcast(ga, a.data.shape))
+            a._accum_grad(_unbroadcast(ga, a.data.shape), fresh=True)
         if b.requires_grad:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), g)
-            b._accum_grad(_unbroadcast(gb, b.data.shape))
+            b._accum_grad(_unbroadcast(gb, b.data.shape), fresh=True)
 
     return _attach(out, (a, b), bw)
 
@@ -268,7 +288,7 @@ def exp(a) -> Tensor:
     out = Tensor(y)
 
     def bw(g):
-        a._accum_grad(g * y)
+        a._accum_grad(g * y, fresh=True)
 
     return _attach(out, (a,), bw)
 
@@ -278,7 +298,7 @@ def log(a) -> Tensor:
     out = Tensor(np.log(a.data))
 
     def bw(g):
-        a._accum_grad(g / a.data)
+        a._accum_grad(g / a.data, fresh=True)
 
     return _attach(out, (a,), bw)
 
@@ -289,7 +309,7 @@ def sqrt(a) -> Tensor:
     out = Tensor(y)
 
     def bw(g):
-        a._accum_grad(g * 0.5 / y)
+        a._accum_grad(g * 0.5 / y, fresh=True)
 
     return _attach(out, (a,), bw)
 
@@ -300,7 +320,7 @@ def tanh(a) -> Tensor:
     out = Tensor(y)
 
     def bw(g):
-        a._accum_grad(g * (1.0 - y * y))
+        a._accum_grad(g * (1.0 - y * y), fresh=True)
 
     return _attach(out, (a,), bw)
 
@@ -321,7 +341,7 @@ def gelu(a) -> Tensor:
         local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
         if _BACKWARD_FAULT[0]:
             local = 0.5 * (1.0 + t)
-        a._accum_grad(g * local)
+        a._accum_grad(g * local, fresh=True)
 
     return _attach(out, (a,), bw)
 
@@ -347,7 +367,7 @@ def tmean(a) -> Tensor:
     count = a.data.size
 
     def bw(g):
-        a._accum_grad(np.broadcast_to(g, a.data.shape) / count)
+        a._accum_grad(np.broadcast_to(g, a.data.shape) / count, fresh=True)
 
     return _attach(out, (a,), bw)
 
@@ -412,7 +432,7 @@ def take(a, idx) -> Tensor:
             buf[idx] = g
         else:
             np.add.at(buf, idx, g)
-        a._accum_grad(buf)
+        a._accum_grad(buf, fresh=True)
 
     return _attach(out, (a,), bw)
 
@@ -446,7 +466,7 @@ def softmax(a, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
 
     def bw(g):
         inner = (g * y).sum(axis=axis, keepdims=True)
-        a._accum_grad(y * (g - inner))
+        a._accum_grad(y * (g - inner), fresh=True)
 
     return _attach(out, (a,), bw)
 
@@ -458,7 +478,7 @@ def log_softmax(a, axis: int = -1) -> Tensor:
     out = Tensor(y)
 
     def bw(g):
-        a._accum_grad(g - np.exp(y) * g.sum(axis=axis, keepdims=True))
+        a._accum_grad(g - np.exp(y) * g.sum(axis=axis, keepdims=True), fresh=True)
 
     return _attach(out, (a,), bw)
 
@@ -530,13 +550,13 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 
     def bw(g):
         if gamma.requires_grad:
-            gamma._accum_grad((g * xhat).sum(axis=lead_axes))
+            gamma._accum_grad((g * xhat).sum(axis=lead_axes), fresh=True)
         if beta.requires_grad:
-            beta._accum_grad(g.sum(axis=lead_axes))
+            beta._accum_grad(g.sum(axis=lead_axes), fresh=True)
         if x.requires_grad:
             gx = g * gamma.data
             term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-            x._accum_grad(term * inv)
+            x._accum_grad(term * inv, fresh=True)
 
     return _attach(out, (x, gamma, beta), bw)
 
@@ -626,10 +646,10 @@ def conv1d(x, weight, bias, stride: int = 1, padding: int = 1) -> Tensor:
 
     def bw(g):
         if bias.requires_grad:
-            bias._accum_grad(g.sum(axis=(0, 1)))
+            bias._accum_grad(g.sum(axis=(0, 1)), fresh=True)
         if weight.requires_grad:
             gw = cols.reshape(-1, k * c_in).T @ g.reshape(-1, c_out)
-            weight._accum_grad(gw.reshape(k, c_in, c_out))
+            weight._accum_grad(gw.reshape(k, c_in, c_out), fresh=True)
         if x.requires_grad:
             dcols = (g @ w2.T).reshape(batch, t_out, k, c_in)
             dxpad = np.zeros_like(xpad)

@@ -11,8 +11,10 @@ runs are bit-reproducible and resume from any checkpoint to the same bytes.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
+import platform
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -103,6 +105,27 @@ def _log_prefix(path: Path, step: int) -> int:
     return keep
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3      # glibc mallopt parameters (malloc.h)
+
+
+def _keep_freed_heap_mapped() -> None:
+    """Keep the heap that a backward sweep frees mapped for the next forward.
+
+    By default glibc serves blocks over a moving threshold with mmap and gives
+    a freed heap top back to the OS, so every step would fault its activation
+    pages in again. An mmap threshold fixed at 32 MiB and a trim threshold of
+    1 GiB keep those pages in the process. Other C libraries are left as
+    they are.
+    """
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = ctypes.CDLL(None).mallopt
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
 def train(model: SpdpModel, train_utts: list[Utterance], out_dir: str | Path) -> TrainResult:
     """Optimize the weighted dual loss; logs, checkpoints, and resumes.
 
@@ -131,6 +154,7 @@ def train(model: SpdpModel, train_utts: list[Utterance], out_dir: str | Path) ->
                    for u in train_utts]
     if model.serial.cfg.max_decode_len < max(map(len, all_targets)) + 4:
         raise ValueError("max_decode_len must be at least the longest target + 4")
+    _keep_freed_heap_mapped()
     optimizer = AdamW(model.params(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     keep = 0                # bytes of an existing log that the run keeps
     if cfg.resume:

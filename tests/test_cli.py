@@ -338,6 +338,15 @@ def test_out_that_is_a_file_is_data_error(workspace, tmp_path, capsys, command):
     assert out.read_text(encoding="utf-8") == "keep"
 
 
+def test_output_file_that_cannot_be_written_is_data_error(workspace, tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "train_log.jsonl").mkdir(parents=True)
+    assert main(["train", "--config", str(workspace["cfg"]), "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"data error: {out / 'train_log.jsonl'}: Is a directory" in err
+    assert "Traceback" not in err
+
+
 def test_eval_missing_checkpoint_is_data_error(workspace, capsys):
     cfg = workspace["cfg"]
     assert main(["eval", "--config", str(cfg), "--out", str(workspace["root"] / "x"),

@@ -434,6 +434,36 @@ def test_backward_requires_scalar():
         T.mul(x, x).backward()
 
 
+@pytest.mark.parametrize("build", [
+    lambda u, v: T.add(T.add(u, v), u),
+    lambda u, v: T.add(T.sub(u, v), u),
+    lambda u, v: T.add(T.tsum(u, axis=0), T.mul(T.add(u, v), u)),
+    lambda u, v: T.add(T.mul(T.add(u, v), u), T.tsum(u, axis=0)),
+], ids=["add", "sub", "tsum-first", "tsum-last"])
+def test_gradients_passed_on_as_views_are_copied(build):
+    # A rule that hands a parent g itself or a view of it must copy it, or two
+    # leaves end up sharing one buffer that later accumulations write through.
+    u = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
+    v = Tensor(np.array([0.5, -1.0, 2.0]), requires_grad=True)
+
+    def loss():
+        return T.tsum(build(u, v))
+
+    report = grad_check(loss, {"u": u, "v": v})
+    assert max(report.values()) < 1e-8
+    assert not np.shares_memory(u.grad, v.grad)
+
+
+def test_second_backward_on_the_same_root_raises():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    loss = T.tsum(T.mul(x, x))
+    loss.backward()
+    npt.assert_array_equal(x.grad, [2.0, 4.0])
+    with pytest.raises(ValueError, match="already ran"):
+        loss.backward()
+    npt.assert_array_equal(x.grad, [2.0, 4.0])
+
+
 # -- grad_check harness ---------------------------------------------------------------
 
 

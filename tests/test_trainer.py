@@ -1,6 +1,7 @@
 """Unit tests for the joint model bundle and training-loop guards."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,12 +169,14 @@ def test_params_hold_every_trained_leaf_once():
     model = SpdpModel(small_run_config())
     l_s, l_p = model.batch_losses(*batch_for(model))
     loss = total_loss(l_s, l_p, model.run_cfg.fusion_config())
+    leaves = {id(node) for node in graph_nodes(loss)
+              if node.requires_grad and not node._parents}
     loss.backward()
     named = [id(t) for t in model.params().values()]
     assert len(set(named)) == len(named)
-    leaves = {id(node) for node in graph_nodes(loss)
-              if node.requires_grad and not node._parents}
     assert leaves == set(named)
+    for name, p in model.params().items():
+        assert p.grad is not None and p.grad.shape == p.shape, name
 
 
 @pytest.mark.parametrize("b", [3, 16])
@@ -198,3 +201,67 @@ def test_desk_dims_train_step_graph_size(b):
                 stack.append(parent)
     assert len(seen) == 437
     assert sum(node._backward is not None for node in seen.values()) == 204
+
+
+def desk_dims_step(b=16):
+    """A desk-dims model, AdamW over it, and a function that runs one step
+    and returns that step's (l_s, l_p, loss) as ``trainer.train`` holds them."""
+    cfg = RunConfig(n_per_class=2)
+    model = SpdpModel(cfg)
+    utts = generate_corpus(cfg.corpus_config(), model.vocab)[:b]
+    pool = model.vocab.prompt_pool
+    batch = (np.stack([u.frames for u in utts]), np.array([u.gold_style for u in utts]),
+             [pool[i % len(pool)] for i in range(b)],
+             [model.vocab.build_target(u.transcript, u.gold_style) for u in utts],
+             [len(u.transcript) for u in utts])
+    optimizer = AdamW(model.params())
+
+    def step(backward=True):
+        l_s, l_p = model.batch_losses(*batch)
+        loss = total_loss(l_s, l_p, cfg.fusion_config())
+        if backward:
+            optimizer.zero_grad()
+            loss.backward()
+            optimizer.step()
+        return l_s, l_p, loss
+
+    return model, step
+
+
+def test_backward_frees_every_interior_node():
+    _, step = desk_dims_step(b=3)
+    *_, loss = step(backward=False)
+    interior = [node for node in graph_nodes(loss) if node._backward is not None]
+    assert len(interior) == 204
+    loss.backward()
+    for node in interior:
+        assert node._backward is not None if node is loss else node._backward is None
+        assert node._parents == ()
+        assert (node.grad is not None) if node is loss else (node.grad is None)
+
+
+def test_parameter_gradients_own_their_memory():
+    model, step = desk_dims_step(b=3)
+    step()
+    params = list(model.params().items())
+    for i, (name, p) in enumerate(params):
+        for other_name, other in params:
+            assert not np.shares_memory(p.grad, other.data), (name, other_name)
+        for other_name, other in params[i + 1:]:
+            assert not np.shares_memory(p.grad, other.grad), (name, other_name)
+
+
+def test_train_steps_do_not_keep_an_earlier_graph_alive():
+    # Allocation sizes are deterministic, so this bound does not depend on the
+    # host: with step k's graph alive through step k+1's forward the traced
+    # peak is about 102 MiB; freed by the backward it is about 31 MiB.
+    _, step = desk_dims_step(b=16)
+    held = step()           # as in train, step k's losses live on into step k+1
+    tracemalloc.start()
+    try:
+        for _ in range(3):
+            held = step()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
