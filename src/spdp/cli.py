@@ -26,7 +26,7 @@ from .fusion import total_loss
 from .gradcheck import grad_check
 from .trainer import (NO_LINGUISTIC_EVIDENCE, MetricsReport, SpdpModel, evaluate,
                       make_out_dir, train, write_confusion_csv)
-from .vocab import N_CLASSES, Vocab, build_vocab
+from .vocab import N_CLASSES, build_vocab
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -78,8 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", default=None,
                    help="JSON {filename: planted} for recall reporting")
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    common(p)
+    p = sub.add_parser("gradcheck", help="finite-difference gradient verification "
+                       "of the desk-dims model")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--coords", type=int, default=4,
                    help="sampled coordinates per parameter tensor")
     p.add_argument("--inject-fault", action="store_true",
@@ -126,14 +127,6 @@ def _load_run_config(args: argparse.Namespace) -> RunConfig:
         raise UsageError(str(err)) from err
 
 
-def _load_vocab(cfg: RunConfig) -> Vocab:
-    if cfg.vocab_file:
-        if not Path(cfg.vocab_file).is_file():
-            raise ValueError(f"vocab file not found: {cfg.vocab_file}")
-        return Vocab.load(cfg.vocab_file)
-    return build_vocab()
-
-
 def _require_corpus(cfg: RunConfig):
     for label, path in (("manifest", cfg.manifest), ("frames", cfg.frames)):
         if not path:
@@ -174,10 +167,9 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_run_config(args)
     train_utts = [u for u in _require_corpus(cfg) if u.split == "train"]
-    vocab = _load_vocab(cfg)
     if cfg.resume and not Path(cfg.resume).is_file():
         raise ValueError(f"resume checkpoint not found: {cfg.resume}")
-    result = train(SpdpModel(cfg, vocab), train_utts, cfg.out_dir)
+    result = train(SpdpModel(cfg), train_utts, cfg.out_dir)
     print(f"trained {len(result.log)} steps; checkpoints in {cfg.out_dir}")
     return EXIT_OK
 
@@ -197,7 +189,7 @@ def _evaluate_checkpoint(args: argparse.Namespace) -> tuple[Path, MetricsReport]
     if not checkpoint.is_file():
         raise ValueError(f"checkpoint not found: {args.checkpoint}")
     before = hashlib.sha256(checkpoint.read_bytes()).hexdigest()
-    model = SpdpModel(cfg, _load_vocab(cfg))
+    model = SpdpModel(cfg)
     restore_params(model.params(), load_checkpoint(checkpoint))
     out = make_out_dir(cfg.out_dir)
     tmp = out / "predictions.jsonl.tmp"
@@ -298,8 +290,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     if args.coords < 1:
         raise UsageError(f"--coords must be >= 1, got {args.coords}")
-    args.profile = "desk-dims"      # finite differences are affordable only here
-    cfg = _load_run_config(args)
+    cfg = RunConfig(seed=args.seed)     # finite differences are affordable only at desk-dims
     model = SpdpModel(cfg)
     rng = np.random.default_rng(cfg.seed + 1)
     frames = rng.normal(size=(2, 12, cfg.feat_dim))

@@ -36,7 +36,6 @@ class RunConfig:
     # data paths
     manifest: str = ""
     frames: str = ""
-    vocab_file: str = ""
     resume: str = ""
 
     # corpus generation

@@ -39,10 +39,6 @@ class SerialConfig:
     dec_dim: int = 48
     max_decode_len: int = 48
 
-    @property
-    def emb_a_dim(self) -> int:
-        return ENC_LAYERS * self.enc_dim
-
     def __post_init__(self) -> None:
         for field in ("enc_dim", "dec_dim"):
             dim = getattr(self, field)
@@ -211,14 +207,13 @@ class SerialModel(Module):
                 states[:, step] = last[:, 0]
         transcripts: list[list[int]] = []
         flags: list[list[str]] = []
-        for i, row in enumerate(tokens):
+        for row in tokens:
             if STYLE_OPEN_ID in row:
                 transcripts.append(row[:row.index(STYLE_OPEN_ID)])
                 flags.append([])
             else:
                 transcripts.append([t for t in row if t != EOS_ID])
                 flags.append([NO_TERMINATION])
-                p_nt[i] = None
         lens = np.array([len(t) for t in transcripts])
         valid = np.arange(lens.max()) < lens[:, None]
         emb_t = np.where(valid[:, :, None], states[:, :lens.max()], 0.0)

@@ -29,7 +29,7 @@ from .optim import AdamW
 from .parallel import ParallelPathModel
 from .serial import SerialModel
 from .tensor import Tensor
-from .vocab import N_CLASSES, STYLE_CLOSE_ID, Vocab, build_vocab
+from .vocab import N_CLASSES, STYLE_CLOSE_ID, build_vocab
 
 NO_LINGUISTIC_EVIDENCE = "NoLinguisticEvidence"
 
@@ -37,9 +37,9 @@ NO_LINGUISTIC_EVIDENCE = "NoLinguisticEvidence"
 class SpdpModel(Module):
     """Serial path + parallel path + vocabulary under one parameter registry."""
 
-    def __init__(self, run_cfg: RunConfig, vocab: Vocab | None = None):
+    def __init__(self, run_cfg: RunConfig):
         self.run_cfg = run_cfg
-        self.vocab = vocab if vocab is not None else build_vocab()
+        self.vocab = build_vocab()
         rng = np.random.default_rng(run_cfg.seed)
         self.serial = SerialModel(run_cfg.serial_config(len(self.vocab)), rng)
         self.parallel = ParallelPathModel(run_cfg.parallel_config(), rng)

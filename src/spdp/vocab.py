@@ -5,7 +5,8 @@ and ">". The eight style labels are word-tokenized and their first words
 are pairwise distinct, which is what lets inference read a style
 distribution off a single next-token distribution. Transcript words are
 grouped into one block per style so corpus generation can couple linguistic
-evidence to the gold class.
+evidence to the gold class. These constants are the whole vocabulary:
+``vocab.tsv`` is written so stored token ids can be read, never read back.
 """
 
 from __future__ import annotations
@@ -66,16 +67,8 @@ class Vocab:
     def __init__(self, id_to_token: list[str]):
         self.id_to_token = list(id_to_token)
         self.token_to_id = {tok: i for i, tok in enumerate(self.id_to_token)}
-        if len(self.token_to_id) != len(self.id_to_token):
-            raise ValueError("duplicate tokens in vocabulary")
-        for tok, want in ((PAD_TOKEN, PAD_ID), (EOS_TOKEN, EOS_ID),
-                          (STYLE_OPEN_TOKEN, STYLE_OPEN_ID), (STYLE_CLOSE_TOKEN, STYLE_CLOSE_ID)):
-            if self.token_to_id.get(tok) != want:
-                raise ValueError(f"reserved token {tok!r} must hold id {want}")
         self.label_token_ids = [self.encode(lbl.split()) for lbl in STYLE_LABELS]
         self.first_token_ids = [ids[0] for ids in self.label_token_ids]
-        if len(set(self.first_token_ids)) != len(STYLE_LABELS):
-            raise ValueError("style-label first tokens must be pairwise distinct")
         self.prompt_pool = [self.encode(p.split()) for p in PROMPT_TEXTS]
         self.class_blocks = [self.encode(block) for block in CLASS_WORD_BLOCKS]
 
@@ -83,10 +76,7 @@ class Vocab:
         return len(self.id_to_token)
 
     def encode(self, words) -> list[int]:
-        try:
-            return [self.token_to_id[w] for w in words]
-        except KeyError as err:
-            raise ValueError(f"vocabulary has no token {err.args[0]!r}") from None
+        return [self.token_to_id[w] for w in words]
 
     # -- serial-target construction -------------------------------------------
 
@@ -101,28 +91,6 @@ class Vocab:
         with open(path, "w", encoding="utf-8") as fh:
             for i, tok in enumerate(self.id_to_token):
                 fh.write(f"{i}\t{tok}\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "Vocab":
-        rows: list[tuple[int, str]] = []
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                try:
-                    ident, tok = line.split("\t", 1)
-                    rows.append((int(ident), tok))
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: expected '<id>\\t<token>', "
-                                     f"got {line!r}") from None
-        rows.sort()
-        for want, (ident, _) in enumerate(rows):
-            if ident != want:
-                why = (f"id {ident} is repeated" if 0 <= ident < want
-                       else f"expected id {want}, found {ident}")
-                raise ValueError(f"{path}: vocabulary ids must be contiguous from 0; {why}")
-        return cls([tok for _, tok in rows])
 
 
 def build_vocab() -> Vocab:

@@ -43,7 +43,6 @@ def workspace(tmp_path_factory):
 epochs = 2
 manifest = {data}/manifest.jsonl
 frames = {data}/frames.bin
-vocab_file = {data}/vocab.tsv
 """, encoding="utf-8")
     assert main(["gen-data", "--config", str(cfg), "--out", str(data),
                  "--wav-fixtures", "20"]) == EXIT_OK
@@ -75,7 +74,7 @@ def test_unknown_config_key_is_usage_error(tmp_path, capsys):
     "transcript_len_min", "transcript_len_max", "enc_layers", "tap_layers", "enc_heads",
     "conv_downsample", "adaptor_downsample", "adaptor_layers", "dec_layers", "dec_heads",
     "ffn_mult", "classifier_heads", "classifier_ffn_mult", "use_positions",
-    "detach_parallel_inputs",
+    "detach_parallel_inputs", "vocab_file",
 ])
 def test_removed_config_key_is_usage_error(tmp_path, capsys, key):
     cfg = tmp_path / "old.cfg"
@@ -146,10 +145,15 @@ def test_missing_config_file_is_data_error(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_gradcheck_missing_config_file_is_data_error(tmp_path, capsys):
-    assert main(["gradcheck", "--coords", "1",
-                 "--config", str(tmp_path / "nope.cfg")]) == EXIT_DATA
-    assert "config file not found" in capsys.readouterr().err
+@pytest.mark.parametrize("flag", ["--config", "--profile", "--out"])
+def test_gradcheck_takes_no_run_config_flag(tmp_path, capsys, flag):
+    """gradcheck always checks the desk-dims model, so nothing may reconfigure it."""
+    value = {"--config": str(tmp_path / "dims.cfg"), "--profile": "paper-dims",
+             "--out": str(tmp_path / "out")}[flag]
+    (tmp_path / "dims.cfg").write_text("enc_dim = 16\n", encoding="utf-8")
+    assert main(["gradcheck", "--coords", "1", flag, value]) == EXIT_USAGE
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("case", ["missing-config", "out-is-a-file"])
@@ -215,7 +219,6 @@ def test_train_resume_matches_uninterrupted_run(workspace, tmp_path):
     paths = f"""
 manifest = {data}/manifest.jsonl
 frames = {data}/frames.bin
-vocab_file = {data}/vocab.tsv
 """
     cfg1 = tmp_path / "one.cfg"
     cfg1.write_text(BASE_KEYS + "epochs = 1\n" + paths, encoding="utf-8")
@@ -238,7 +241,6 @@ epochs = 1
 max_steps = 2
 manifest = {data}/manifest.jsonl
 frames = {data}/frames.bin
-vocab_file = {data}/vocab.tsv
 """, encoding="utf-8")
     run = tmp_path / "run"
     assert main(["train", "--config", str(cfg), "--out", str(run),
@@ -383,7 +385,6 @@ def test_checkpoint_changed_during_evaluation_is_data_error(workspace, tmp_path,
 @pytest.mark.parametrize("command, key, message", [
     ("train", "manifest", "manifest file not found"),
     ("eval", "frames", "frames file not found"),
-    ("train", "vocab_file", "vocab file not found"),
     ("train", "--resume", "resume checkpoint not found"),
     ("eval", "--checkpoint", "checkpoint not found"),
     ("predict", "--checkpoint", "checkpoint not found"),
@@ -737,36 +738,6 @@ def _config_with_edited_record(workspace, tmp_path, index, edit):
         f"manifest = {workspace['data']}/manifest.jsonl", f"manifest = {manifest}"),
         encoding="utf-8")
     return cfg
-
-
-def test_train_on_a_vocab_file_cut_at_a_line_boundary_is_data_error(workspace, tmp_path,
-                                                                    capsys):
-    vocab = tmp_path / "vocab.tsv"
-    lines = (workspace["data"] / "vocab.tsv").read_text().splitlines(keepends=True)
-    vocab.write_text("".join(lines[:10]), encoding="utf-8")
-    cfg = tmp_path / "cut.cfg"
-    cfg.write_text(workspace["cfg"].read_text().replace(
-        f"vocab_file = {workspace['data']}/vocab.tsv", f"vocab_file = {vocab}"),
-        encoding="utf-8")
-    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == EXIT_DATA
-    assert "vocabulary has no token 'fairy'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("row, why", [("1\tdup", "id 1 is repeated"),
-                                      ("4\tgap", "expected id 3, found 4")],
-                         ids=["duplicated", "missing"])
-def test_train_on_a_vocab_file_with_a_duplicated_or_missing_id_names_file_and_id(
-        workspace, tmp_path, capsys, row, why):
-    vocab = tmp_path / "vocab.tsv"
-    lines = (workspace["data"] / "vocab.tsv").read_text().splitlines(keepends=True)
-    vocab.write_text("".join(lines[:3]) + row + "\n", encoding="utf-8")
-    cfg = tmp_path / "gap.cfg"
-    cfg.write_text(workspace["cfg"].read_text().replace(
-        f"vocab_file = {workspace['data']}/vocab.tsv", f"vocab_file = {vocab}"),
-        encoding="utf-8")
-    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "r")]) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert f"{vocab}: vocabulary ids must be contiguous from 0; {why}" in err
 
 
 # -- filter -----------------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from spdp.fusion import (PARALLEL_ONLY_FALLBACK, ZERO_MASS_FALLBACK, FusionConfi
                          PredictionRecord, fuse, predict, serial_style_distribution,
                          total_loss)
 from spdp.parallel import ParallelPathConfig, ParallelPathModel
-from spdp.serial import NO_TERMINATION, SerialConfig, SerialModel
+from spdp.serial import ENC_LAYERS, NO_TERMINATION, SerialConfig, SerialModel
 from spdp.tensor import Tensor
 from spdp.vocab import build_vocab
 
@@ -178,7 +178,7 @@ def tiny_models(seed=0, **serial_overrides):
     kwargs.update(serial_overrides)
     scfg = SerialConfig(**kwargs)
     serial = SerialModel(scfg, np.random.default_rng(seed))
-    acfg = ParallelPathConfig(emb_a_dim=scfg.emb_a_dim, emb_t_dim=scfg.dec_dim,
+    acfg = ParallelPathConfig(emb_a_dim=ENC_LAYERS * scfg.enc_dim, emb_t_dim=scfg.dec_dim,
                       d_shared=16, n_subspaces=4, ref_dim=12)
     parallel = ParallelPathModel(acfg, np.random.default_rng(seed + 1))
     return serial, parallel
