@@ -15,6 +15,7 @@ held one ``parallel.sub_a.<n>.w`` per subspace.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -71,17 +72,25 @@ def load_checkpoint(path: str | Path) -> dict[str, Tensor]:
             off += 4
             if off + name_len > total:
                 raise struct.error("name runs past the end")
-            name = blob[off:off + name_len].decode("utf-8")
+            try:
+                name = blob[off:off + name_len].decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}: the tensor name of record {len(out) + 1} "
+                                 "is not UTF-8") from None
             off += name_len
             (rank,) = struct.unpack_from("<I", blob, off)
             off += 4
-            shape = struct.unpack_from(f"<{rank}Q", blob, off) if rank else ()
+            shape = struct.unpack_from(f"<{rank}Q", blob, off)
             off += 8 * rank
-            count = int(np.prod(shape, dtype=np.int64)) if rank else 1
+            count = math.prod(shape)        # exact: a product of u64 extents may not fit int64
             if off + 8 * count > total:
                 raise ValueError(f"{path}: checkpoint is cut short in the payload of "
                                  f"tensor {name!r} ({total - off} of {8 * count} bytes)")
-            arr = np.frombuffer(blob, dtype="<f8", count=count, offset=off).reshape(shape)
+            payload = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
+            try:        # an empty payload may still come with extents numpy cannot hold
+                arr = payload.reshape(shape)
+            except ValueError as err:
+                raise ValueError(f"{path}: tensor {name!r} has shape {shape}: {err}") from None
             off += 8 * count
             out[name] = Tensor(arr.astype(np.float64))
     except struct.error as err:

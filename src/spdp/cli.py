@@ -20,7 +20,7 @@ from .audio import (annotate_intersect, build_filter_fixture_set, compute_bins,
                     extract_features5, filter_high_expressivity, load_wav,
                     sample_confused_label)
 from .checkpoint import load_checkpoint, restore_params
-from .config import PROFILES, RunConfig, make_run_config, parse_config_file
+from .config import RunConfig, make_run_config, parse_config_file
 from .corpus import generate_corpus, load_corpus, save_corpus
 from .fusion import total_loss
 from .gradcheck import grad_check
@@ -45,21 +45,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", default=None, help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--profile", choices=tuple(PROFILES), default=None)
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--weights", default=None, metavar="a,b",
-                       help="fusion weights, e.g. 0.3,0.7")
-        p.add_argument("--loss-weights", default=None, metavar="alpha,beta",
-                       help="loss weights, e.g. 1.0,0.5")
 
     p = sub.add_parser("gen-data", help="generate a synthetic corpus")
     common(p)
+    p.add_argument("--seed", type=int)
     p.add_argument("--wav-fixtures", type=int, default=0,
                    help="also synthesize N WAV files for the filter pipeline")
 
     p = sub.add_parser("train", help="train both paths jointly")
     common(p)
+    p.add_argument("--seed", type=int)
     p.add_argument("--resume", default=None, help="checkpoint to resume from")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
@@ -74,6 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filter", help="acoustic curation over a WAV directory")
     common(p)
+    p.add_argument("--seed", type=int)
     p.add_argument("--wav-dir", required=True)
     p.add_argument("--truth", default=None,
                    help="JSON {filename: planted} for recall reporting")
@@ -89,39 +86,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict[str, object]:
-    out: dict[str, object] = {}
-    if args.seed is not None:
-        out["seed"] = args.seed
-    if args.profile is not None:
-        out["profile"] = args.profile
-    if args.out is not None:
-        out["out_dir"] = args.out
-    if args.weights is not None:
-        a, b = _parse_pair(args.weights, "--weights")
-        out["fusion_a"], out["fusion_b"] = a, b
-    if args.loss_weights is not None:
-        alpha, beta = _parse_pair(args.loss_weights, "--loss-weights")
-        out["loss_alpha"], out["loss_beta"] = alpha, beta
-    if getattr(args, "resume", None):
-        out["resume"] = args.resume
-    return out
-
-
-def _parse_pair(raw: str, flag: str) -> tuple[float, float]:
-    parts = raw.split(",")
-    if len(parts) != 2:
-        raise UsageError(f"{flag} expects two comma-separated numbers")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as err:
-        raise UsageError(f"{flag}: {err}") from err
+    flags = {"seed": "seed", "out": "out_dir", "resume": "resume"}
+    return {key: getattr(args, flag) for flag, key in flags.items()
+            if getattr(args, flag, None) is not None}
 
 
 def _load_run_config(args: argparse.Namespace) -> RunConfig:
-    if args.config is not None and not Path(args.config).is_file():
-        raise ValueError(f"config file not found: {args.config}")
+    config = getattr(args, "config", None)
+    if config is not None and not Path(config).is_file():
+        raise ValueError(f"config file not found: {config}")
     try:
-        pairs = parse_config_file(args.config) if args.config is not None else {}
+        pairs = parse_config_file(config) if config is not None else {}
         return make_run_config(pairs, _overrides_from_args(args))
     except (ValueError, TypeError) as err:
         raise UsageError(str(err)) from err
@@ -290,7 +265,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
 def cmd_gradcheck(args: argparse.Namespace) -> int:
     if args.coords < 1:
         raise UsageError(f"--coords must be >= 1, got {args.coords}")
-    cfg = RunConfig(seed=args.seed)     # finite differences are affordable only at desk-dims
+    cfg = _load_run_config(args)    # no --config: gradients are checked at desk-dims
     model = SpdpModel(cfg)
     rng = np.random.default_rng(cfg.seed + 1)
     frames = rng.normal(size=(2, 12, cfg.feat_dim))

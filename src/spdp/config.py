@@ -1,6 +1,6 @@
 """Run configuration: flat key-value files, dimension profiles, defaults.
 
-Config files are plain text, one ``key = value`` per line, ``#`` comments
+Config files are plain UTF-8 text, one ``key = value`` per line, ``#`` comments
 allowed. Keys must match RunConfig fields exactly; unknown keys are
 rejected so typos fail loudly. A profile selects a consistent dimension
 set first; explicit keys then override it.
@@ -67,7 +67,7 @@ class RunConfig:
         for f in dataclasses.fields(self):
             if f.type == "float" and not math.isfinite(getattr(self, f.name)):
                 raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
-        for field, low in (("epochs", 1), ("max_steps", 0), ("batch_size", 1)):
+        for field, low in (("seed", 0), ("epochs", 1), ("max_steps", 0), ("batch_size", 1)):
             if getattr(self, field) < low:
                 raise ValueError(f"{field} must be >= {low}, got {getattr(self, field)}")
         if not self.lr > 0:
@@ -145,8 +145,12 @@ def _convert(name: str, raw: str):
 def parse_config_file(path: str | Path) -> dict[str, object]:
     """Read ``key = value`` lines; unknown keys raise immediately."""
     pairs: dict[str, object] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    with open(path, "rb") as fh:
+        for lineno, raw_line in enumerate(fh, start=1):
+            try:
+                line = raw_line.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ValueError(f"{path}:{lineno}: not UTF-8") from None
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue

@@ -124,11 +124,11 @@ MANIFEST_TYPES = {"id": str, "style": int, "transcript": list, "split": str,
                   "frames_offset": None}
 
 
-def _manifest_record(line: str, where: str) -> dict:
-    """One manifest line, checked to hold every key with a value of its type."""
+def _manifest_record(line: bytes, where: str) -> dict:
+    """One UTF-8 JSON manifest line, checked to hold every key with a value of its type."""
     try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as err:
+        rec = json.loads(line.decode("utf-8"))
+    except ValueError as err:       # a UnicodeDecodeError or a JSONDecodeError
         raise ValueError(f"{where}: not JSON: {err}") from None
     if not isinstance(rec, dict):
         raise ValueError(f"{where}: not a JSON object")
@@ -154,7 +154,7 @@ def load_corpus(manifest_path: str | Path, frames_path: str | Path) -> list[Utte
     count, t0, feat_dim = struct.unpack_from("<3Q", blob, 0)
     block = 8 * t0 * feat_dim
     utts: list[Utterance] = []
-    with open(manifest_path, encoding="utf-8") as fh:
+    with open(manifest_path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:

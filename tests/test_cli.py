@@ -83,9 +83,39 @@ def test_removed_config_key_is_usage_error(tmp_path, capsys, key):
     assert f"unknown config key {key!r}" in capsys.readouterr().err
 
 
-def test_malformed_weights_flag_is_usage_error(tmp_path, capsys):
-    assert main(["gen-data", "--out", str(tmp_path), "--weights", "0.3"]) == EXIT_USAGE
-    capsys.readouterr()
+@pytest.mark.parametrize("command, flag, value", [
+    (command, flag, value)
+    for command in ("gen-data", "train", "eval", "predict", "filter")
+    for flag, value in (("--profile", "paper-dims"), ("--weights", "0,1"),
+                        ("--loss-weights", "1,0"))
+] + [("eval", "--seed", "3"), ("predict", "--seed", "3")])
+def test_a_flag_that_would_change_nothing_is_refused(workspace, tmp_path, capsys, command,
+                                                     flag, value):
+    """Profile and weights are config keys; eval and predict draw no seed."""
+    out = tmp_path / "out"
+    argv = [command, "--config", str(workspace["cfg"]), "--out", str(out), flag, value]
+    if command in ("eval", "predict"):
+        argv += ["--checkpoint", str(workspace["run"] / "ckpt-epoch-1.spdp")]
+    if command == "filter":
+        argv += ["--wav-dir", str(workspace["data"] / "wav")]
+    assert main(argv) == EXIT_USAGE
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-data", "train", "filter", "gradcheck"])
+def test_negative_seed_flag_is_usage_error_before_any_output(workspace, tmp_path, capsys,
+                                                             command):
+    out = tmp_path / "out"
+    if command == "gradcheck":
+        argv = ["gradcheck", "--coords", "1", "--seed", "-1"]
+    else:
+        argv = [command, "--config", str(workspace["cfg"]), "--out", str(out), "--seed", "-1"]
+        if command == "filter":
+            argv += ["--wav-dir", str(workspace["data"] / "wav")]
+    assert main(argv) == EXIT_USAGE
+    assert "usage error: seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_line_without_equals_is_usage_error_naming_file_and_line(tmp_path, capsys):
@@ -97,9 +127,19 @@ def test_config_line_without_equals_is_usage_error_naming_file_and_line(tmp_path
     assert not out.exists()
 
 
+def test_config_line_that_is_not_utf8_is_usage_error_naming_file_and_line(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"n_per_class = 4\nseed = \xff3\n")
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert f"usage error: {cfg}:2: not UTF-8" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, setting, message", [
-    ("train", "--loss-weights=-1,0.5", "loss weights must be nonnegative"),
-    ("eval", "--weights=-1,2", "fusion weights must be nonnegative with a + b > 0"),
+    ("train", "loss_alpha = -1", "loss weights must be nonnegative"),
+    ("eval", "fusion_a = -1", "fusion weights must be nonnegative with a + b > 0"),
+    ("gen-data", "seed = -1", "seed must be >= 0, got -1"),
     ("train", "batch_size = 0", "batch_size must be >= 1, got 0"),
     ("train", "epochs = -1", "epochs must be >= 1, got -1"),
     ("train", "max_steps = -3", "max_steps must be >= 0, got -3"),
@@ -117,7 +157,7 @@ def test_config_line_without_equals_is_usage_error_naming_file_and_line(tmp_path
     ("gen-data", "spread = -0.5", "spread must be finite and >= 0, got -0.5"),
     ("eval", "fusion_a = inf", "fusion_a must be finite, got inf"),
     ("train", "loss_alpha = inf", "loss_alpha must be finite, got inf"),
-], ids=["negative-loss-weight", "negative-fusion-weight", "batch-size-0", "epochs-negative",
+], ids=["negative-loss-weight", "negative-fusion-weight", "seed-negative", "batch-size-0", "epochs-negative",
         "max-steps-negative", "lr-negative", "enc-dim-30", "dec-dim-46", "max-decode-len-negative",
         "frames-per-utt-0", "feat-dim-0", "lr-inf", "weight-decay-nan", "weight-decay-negative",
         "decay-factor-not-positive", "spread-nan", "spread-negative", "fusion-a-inf",
@@ -127,11 +167,8 @@ def test_config_value_out_of_range_is_usage_error_before_any_output(workspace, t
                                                                    setting, message):
     cfg = tmp_path / "run.cfg"
     argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
-    if setting.startswith("--"):
-        cfg.write_text(workspace["cfg"].read_text(), encoding="utf-8")
-        argv.append(setting)
-    else:   # a later line overrides an earlier one
-        cfg.write_text(workspace["cfg"].read_text() + setting + "\n", encoding="utf-8")
+    # a later line overrides an earlier one
+    cfg.write_text(workspace["cfg"].read_text() + setting + "\n", encoding="utf-8")
     if command == "eval":
         argv += ["--checkpoint", str(workspace["run"] / "ckpt-epoch-1.spdp")]
     assert main(argv) == EXIT_USAGE
@@ -239,12 +276,12 @@ def test_beta_zero_removes_parallel_term_from_total(workspace, tmp_path):
     cfg.write_text(BASE_KEYS + f"""
 epochs = 1
 max_steps = 2
+loss_beta = 0
 manifest = {data}/manifest.jsonl
 frames = {data}/frames.bin
 """, encoding="utf-8")
     run = tmp_path / "run"
-    assert main(["train", "--config", str(cfg), "--out", str(run),
-                 "--loss-weights", "1,0"]) == EXIT_OK
+    assert main(["train", "--config", str(cfg), "--out", str(run)]) == EXIT_OK
     records = [json.loads(l) for l in (run / "train_log.jsonl").read_text().splitlines()]
     assert len(records) == 2
     for r in records:
@@ -313,11 +350,13 @@ def test_predict_counts_only_the_records_written(workspace, monkeypatch, capsys)
     assert "wrote 7 prediction records" in capsys.readouterr().out
 
 
-def test_eval_weights_flag_reaches_the_fusion(workspace, tmp_path, capsys):
+def test_eval_weights_keys_reach_the_fusion(workspace, tmp_path, capsys):
+    cfg = tmp_path / "parallel_only.cfg"
+    cfg.write_text(workspace["cfg"].read_text() + "fusion_a = 0\nfusion_b = 1\n",
+                   encoding="utf-8")
     out = tmp_path / "e"
-    assert main(["eval", "--config", str(workspace["cfg"]), "--out", str(out),
-                 "--checkpoint", str(workspace["run"] / "ckpt-epoch-1.spdp"),
-                 "--weights", "0,1"]) == EXIT_OK
+    assert main(["eval", "--config", str(cfg), "--out", str(out),
+                 "--checkpoint", str(workspace["run"] / "ckpt-epoch-1.spdp")]) == EXIT_OK
     capsys.readouterr()
     recs = [json.loads(line) for line in (out / "predictions.jsonl").read_text().splitlines()]
     assert recs and any(rec["p"] != rec["q"] for rec in recs)

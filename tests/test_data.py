@@ -6,6 +6,8 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spdp.audio import (FEATURE_NAMES, HOP_S, PITCH_MAX_HZ, PITCH_MIN_HZ, RATE_GATE,
                         RATE_MIN_SEP_S, TERTILE_CUT, UNVOICED, VOICING_GATE, WIN_S,
@@ -135,6 +137,39 @@ def test_corpus_load_names_the_line_of_a_malformed_record(tmp_path, line, messag
     manifest.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=f"manifest.jsonl line 5: {message}"):
         load_corpus(manifest, frames)
+
+
+@pytest.fixture(scope="module")
+def saved_corpus(tmp_path_factory):
+    """A 16-utterance manifest and sidecar; each example damages a copy of one."""
+    root = tmp_path_factory.mktemp("corpus")
+    utts = generate_corpus(CorpusConfig(n_per_class=2, seed=6), VOCAB)
+    save_corpus(utts, root / "manifest.jsonl", root / "frames.bin")
+    return root
+
+
+@pytest.mark.parametrize("target", ["manifest.jsonl", "frames.bin"])
+@settings(max_examples=150, deadline=None)
+@given(pos=st.integers(0, 63) | st.integers(0, 2**16), byte=st.none() | st.integers(0, 255))
+@example(pos=5, byte=0xff)          # in the manifest: a line that is not UTF-8
+def test_corpus_cut_or_overwritten_anywhere_loads_or_names_the_file(saved_corpus, target,
+                                                                    pos, byte):
+    damaged = saved_corpus / "damaged"
+    damaged.mkdir(exist_ok=True)
+    for name in ("manifest.jsonl", "frames.bin"):
+        raw = bytearray((saved_corpus / name).read_bytes())
+        if name == target:
+            pos %= len(raw)
+            if byte is None:
+                del raw[pos:]
+            else:
+                raw[pos] = byte
+        (damaged / name).write_bytes(bytes(raw))
+    manifest, frames = damaged / "manifest.jsonl", damaged / "frames.bin"
+    try:
+        load_corpus(manifest, frames)
+    except ValueError as err:
+        assert str(manifest) in str(err) or str(frames) in str(err), err
 
 
 # -- acoustic features ----------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spdp import tensor as T
@@ -579,6 +579,37 @@ def test_checkpoint_cut_anywhere_but_a_record_boundary_is_refused(tmp_path):
             assert "payload of tensor 'w'" in str(err.value)
         elif cut > first + 4 + 1:
             assert "tensor 'b'" in str(err.value)
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """Three tensors of rank 2, 1 and 3: 211 bytes, each example rewrites damaged.spdp."""
+    root = tmp_path_factory.mktemp("ckpt")
+    save_checkpoint(root / "small.spdp", {"w": Tensor(np.arange(6.0).reshape(2, 3)),
+                                          "b": Tensor(np.ones(2)),
+                                          "c": Tensor(np.zeros((2, 2, 2)))})
+    return root
+
+
+@settings(max_examples=300, deadline=None)
+@given(pos=st.integers(0, 210), byte=st.none() | st.integers(0, 255))
+@example(pos=12, byte=0xff)         # the name of 'w' is not UTF-8
+@example(pos=24, byte=0x80)         # the first extent of 'w' is 2 + 2**63
+@example(pos=130, byte=0x40)        # the extents of 'c' multiply to 8 modulo 2**64
+def test_checkpoint_cut_or_overwritten_anywhere_loads_or_names_the_file(small_checkpoint,
+                                                                         pos, byte):
+    raw = bytearray((small_checkpoint / "small.spdp").read_bytes())
+    assert len(raw) == 211
+    if byte is None:
+        del raw[pos:]
+    else:
+        raw[pos] = byte
+    path = small_checkpoint / "damaged.spdp"
+    path.write_bytes(bytes(raw))
+    try:
+        load_checkpoint(path)
+    except ValueError as err:
+        assert str(err).startswith(f"{path}: "), err
 
 
 def test_checkpoint_failed_save_keeps_previous_file(tmp_path):
