@@ -210,14 +210,18 @@ def save_wav(path: str | Path, waveform: np.ndarray, sample_rate: int = SAMPLE_R
 
 def load_wav(path: str | Path) -> tuple[np.ndarray, int]:
     """Samples scaled to [-1, 1] and the rate; a file that is not a RIFF WAV,
-    whose header is cut short, or whose chunk sizes run past its end, is a
-    ValueError naming it."""
+    whose header or sample data is cut short, or whose chunk sizes run past
+    its end, is a ValueError naming it."""
     try:
         with wave.open(str(path), "rb") as fh:
             if fh.getnchannels() != 1 or fh.getsampwidth() != 2:
                 raise ValueError("expected 16-bit mono WAV")
             sr = fh.getframerate()
-            pcm = np.frombuffer(fh.readframes(fh.getnframes()), dtype="<i2")
+            data, want = fh.readframes(fh.getnframes()), 2 * fh.getnframes()
+            if len(data) < want:
+                raise ValueError(f"{path}: not a WAV file: the sample data is cut short "
+                                 f"({len(data)} of {want} bytes)")
+            pcm = np.frombuffer(data, dtype="<i2")
     except wave.Error as err:
         raise ValueError(f"{path}: not a WAV file: {err}") from err
     except EOFError as err:  # wave's header reader, on a file that ends inside it

@@ -1,9 +1,10 @@
 """Run configuration: flat key-value files, dimension profiles, defaults.
 
 Config files are plain UTF-8 text, one ``key = value`` per line, ``#`` comments
-allowed. Keys must match RunConfig fields exactly; unknown keys are
-rejected so typos fail loudly. A profile selects a consistent dimension
-set first; explicit keys then override it.
+allowed. Keys must match RunConfig fields exactly, or be ``profile``; unknown
+keys are rejected so typos fail loudly. A profile selects a consistent
+dimension set first; explicit keys then override it. The profile is not
+stored: it is only a name for a set of keys.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from .serial import ENC_LAYERS, SerialConfig
 
 @dataclass
 class RunConfig:
-    """Every user-settable key. The rest of the model's shape is fixed by
-    named constants in the modules that own it (see the README)."""
+    """Every user-settable key but ``profile``, which only names a set of
+    them (see PROFILES). The rest of the model's shape is fixed by named
+    constants in the modules that own it (see the README)."""
 
-    profile: str = "desk-dims"
     seed: int = 0
     epochs: int = 2
     max_steps: int = 0              # 0 = no cap
@@ -76,9 +77,9 @@ class RunConfig:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.lr * self.weight_decay >= 1:     # AdamW scales weights by 1 - lr * wd
             raise ValueError(f"lr * weight_decay must be < 1, got {self.lr * self.weight_decay}")
-        for build in (self.corpus_config, self.parallel_config, self.fusion_config):
+        for build in (self.corpus_config, self.parallel_config, self.serial_config,
+                      self.fusion_config):
             build()
-        self.serial_config(vocab_size=1)    # the widths; the vocabulary comes later
 
     # -- derived module configs -------------------------------------------------
 
@@ -102,10 +103,9 @@ class RunConfig:
             ref_dim=self.ref_dim,
         )
 
-    def serial_config(self, vocab_size: int) -> SerialConfig:
+    def serial_config(self) -> SerialConfig:
         return SerialConfig(
             feat_dim=self.feat_dim,
-            vocab_size=vocab_size,
             enc_dim=self.enc_dim,
             dec_dim=self.dec_dim,
             max_decode_len=self.max_decode_len,
@@ -122,7 +122,6 @@ PROFILES: dict[str, dict[str, object]] = {
     "desk-dims": {},
     # the published dimension set, for shape fidelity only
     "paper-dims": {
-        "feat_dim": 8, "frames_per_utt": 24,
         "enc_dim": 1024, "dec_dim": 896,
         "d_shared": 256, "n_subspaces": 16, "ref_dim": 128,
         "lr": 5e-5,
@@ -130,16 +129,6 @@ PROFILES: dict[str, dict[str, object]] = {
 }
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
-
-
-def _convert(name: str, raw: str):
-    kind = _FIELDS[name].type
-    raw = raw.strip()
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    return raw
 
 
 def parse_config_file(path: str | Path) -> dict[str, object]:
@@ -158,27 +147,26 @@ def parse_config_file(path: str | Path) -> dict[str, object]:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, raw = stripped.split("=", 1)
             key = key.strip()
-            if key not in _FIELDS:
+            if key not in _FIELDS and key != "profile":
                 raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            pairs[key] = _convert(key, raw)
+            kind = "str" if key == "profile" else _FIELDS[key].type
+            raw = raw.strip()
+            try:
+                pairs[key] = {"int": int, "float": float}.get(kind, str)(raw)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} must be "
+                                 f"{'an' if kind == 'int' else 'a'} {kind}, got {raw!r}") from None
     return pairs
 
 
 def make_run_config(file_pairs: dict[str, object] | None = None,
                     overrides: dict[str, object] | None = None) -> RunConfig:
     """Defaults, then profile, then file keys, then explicit overrides."""
-    file_pairs = dict(file_pairs or {})
-    overrides = dict(overrides or {})
-    for key in overrides:
+    keys = {**(file_pairs or {}), **(overrides or {})}
+    profile = keys.pop("profile", "desk-dims")
+    for key in keys:
         if key not in _FIELDS:
             raise ValueError(f"unknown config key {key!r}")
-    profile = overrides.get("profile", file_pairs.get("profile", "desk-dims"))
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}")
-    merged: dict[str, object] = {"profile": profile}
-    merged.update(PROFILES[profile])
-    file_pairs.pop("profile", None)
-    overrides.pop("profile", None)
-    merged.update(file_pairs)
-    merged.update(overrides)
-    return RunConfig(**merged)
+    return RunConfig(**{**PROFILES[profile], **keys})

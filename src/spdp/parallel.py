@@ -28,9 +28,9 @@ CLASSIFIER_LAYERS = 3
 class ParallelPathConfig:
     emb_a_dim: int
     emb_t_dim: int
-    d_shared: int = 64
-    n_subspaces: int = 8
-    ref_dim: int = 32
+    d_shared: int
+    n_subspaces: int
+    ref_dim: int
 
     @property
     def rep_dim(self) -> int:

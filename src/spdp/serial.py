@@ -21,7 +21,7 @@ from . import tensor as T
 from .layers import (N_HEADS, Conv1d, Embedding, KVCache, LayerNorm, Linear, Module,
                      TransformerLayer, causal_mask, sinusoidal_positions)
 from .tensor import Tensor
-from .vocab import EOS_ID, PAD_ID, STYLE_OPEN_ID
+from .vocab import EOS_ID, PAD_ID, STYLE_OPEN_ID, build_vocab
 
 ENC_LAYERS = 3       # encoder layers, every one tapped for the acoustic embedding
 ADAPTOR_LAYERS = 4
@@ -34,10 +34,9 @@ NO_TERMINATION = "NoTermination"    # flag of a row whose decode never emitted "
 @dataclass
 class SerialConfig:
     feat_dim: int
-    vocab_size: int
-    enc_dim: int = 32
-    dec_dim: int = 48
-    max_decode_len: int = 48
+    enc_dim: int
+    dec_dim: int
+    max_decode_len: int
 
     def __post_init__(self) -> None:
         for field in ("enc_dim", "dec_dim"):
@@ -77,10 +76,11 @@ class SerialModel(Module):
         self.ad_conv2 = Conv1d(rng, cfg.dec_dim, cfg.dec_dim, stride=1)
         self.ad_conv3 = Conv1d(rng, cfg.dec_dim, cfg.dec_dim, stride=DOWNSAMPLE)
         self.ad = [TransformerLayer(rng, cfg.dec_dim) for _ in range(ADAPTOR_LAYERS)]
-        self.embed = Embedding(rng, cfg.vocab_size, cfg.dec_dim)
+        n_vocab = len(build_vocab())
+        self.embed = Embedding(rng, n_vocab, cfg.dec_dim)
         self.dec = [TransformerLayer(rng, cfg.dec_dim) for _ in range(DEC_LAYERS)]
         self.dec_norm = LayerNorm(cfg.dec_dim)
-        self.head = Linear(rng, cfg.dec_dim, cfg.vocab_size)
+        self.head = Linear(rng, cfg.dec_dim, n_vocab)
 
     # -- encoder ------------------------------------------------------------------
 

@@ -41,7 +41,7 @@ class SpdpModel(Module):
         self.run_cfg = run_cfg
         self.vocab = build_vocab()
         rng = np.random.default_rng(run_cfg.seed)
-        self.serial = SerialModel(run_cfg.serial_config(len(self.vocab)), rng)
+        self.serial = SerialModel(run_cfg.serial_config(), rng)
         self.parallel = ParallelPathModel(run_cfg.parallel_config(), rng)
 
     def trainable_params(self) -> dict[str, Tensor]:

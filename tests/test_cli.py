@@ -136,6 +136,20 @@ def test_config_line_that_is_not_utf8_is_usage_error_naming_file_and_line(tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("epochs = 2.5", "epochs must be an int, got '2.5'"),
+    ("lr = fast", "lr must be a float, got 'fast'"),
+], ids=["int", "float"])
+def test_config_value_that_does_not_parse_is_usage_error_naming_file_line_and_key(
+        tmp_path, capsys, setting, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"n_per_class = 4\n{setting}\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert f"usage error: {cfg}:2: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command, setting, message", [
     ("train", "loss_alpha = -1", "loss weights must be nonnegative"),
     ("eval", "fusion_a = -1", "fusion weights must be nonnegative with a + b > 0"),

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from spdp import config
+from spdp.cli import EXIT_USAGE, main
 from spdp.config import RunConfig, make_run_config
 from spdp.corpus import CorpusConfig
 from spdp.fusion import FusionConfig
@@ -21,19 +22,65 @@ def test_desk_dims_profile_is_the_defaults():
     assert make_run_config({}, {"profile": "desk-dims"}) == RunConfig()
 
 
-def test_module_configs_take_remaining_dims_and_module_defaults():
+def test_profile_is_not_a_stored_field():
+    """A stored label that applied no keys would build desk dims under a paper-dims name."""
+    with pytest.raises(TypeError):
+        RunConfig(profile="paper-dims")
+
+
+PAPER = config.PROFILES["paper-dims"]
+
+
+@pytest.mark.parametrize("file_text, overrides, want", [
+    ("profile = paper-dims\n", {}, PAPER),
+    ("enc_dim = 64\nprofile = paper-dims\n", {}, {**PAPER, "enc_dim": 64}),
+    ("profile = paper-dims\n", {"profile": "desk-dims"}, {}),
+    ("lr = 0.01\n", {"profile": "paper-dims"}, {**PAPER, "lr": 0.01}),
+    ("profile = paper-dims\nenc_dim = 64\n", {"enc_dim": 16}, {**PAPER, "enc_dim": 16}),
+], ids=["file-profile", "file-key-beats-profile", "override-profile-beats-file",
+        "override-profile-under-file-key", "override-key-beats-all"])
+def test_profile_applies_before_file_keys_and_overrides(tmp_path, file_text, overrides, want):
+    path = tmp_path / "run.cfg"
+    path.write_text(file_text, encoding="utf-8")
+    assert make_run_config(config.parse_config_file(path), overrides) == RunConfig(**want)
+
+
+def test_unknown_profile_in_a_config_file_is_usage_error_before_any_output(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("profile = nope\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    assert "usage error: unknown profile 'nope'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_module_configs_take_the_run_config_dims():
     cfg = RunConfig()
-    assert cfg.serial_config(40) == SerialConfig(
-        feat_dim=cfg.feat_dim, vocab_size=40, enc_dim=cfg.enc_dim, dec_dim=cfg.dec_dim,
+    assert cfg.serial_config() == SerialConfig(
+        feat_dim=cfg.feat_dim, enc_dim=cfg.enc_dim, dec_dim=cfg.dec_dim,
         max_decode_len=cfg.max_decode_len)
     assert cfg.parallel_config() == ParallelPathConfig(
         emb_a_dim=3 * cfg.enc_dim, emb_t_dim=cfg.dec_dim, d_shared=cfg.d_shared,
         n_subspaces=cfg.n_subspaces, ref_dim=cfg.ref_dim)
 
 
+@pytest.mark.parametrize("cls", [SerialConfig, ParallelPathConfig])
+def test_serial_and_parallel_configs_state_no_defaults(cls):
+    """Their values come from RunConfig alone, so a default here could only drift from it."""
+    assert [f.name for f in dataclasses.fields(cls)
+            if f.default is not dataclasses.MISSING
+            or f.default_factory is not dataclasses.MISSING] == []
+
+
+def test_corpus_and_fusion_defaults_are_the_run_config_defaults():
+    """Tests build these two from partial arguments, so their defaults stay; pin them."""
+    assert CorpusConfig() == RunConfig().corpus_config()
+    assert FusionConfig() == RunConfig().fusion_config()
+
+
 @pytest.mark.parametrize("method, args, cls", [
     ("corpus_config", (), config.CorpusConfig),
-    ("serial_config", (40,), config.SerialConfig),
+    ("serial_config", (), config.SerialConfig),
     ("parallel_config", (), config.ParallelPathConfig),
 ])
 def test_module_config_fields_are_exactly_what_run_config_sets(monkeypatch, method, args, cls):

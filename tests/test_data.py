@@ -498,3 +498,17 @@ def test_wav_round_trip(tmp_path):
     again, sr = load_wav(path)
     assert sr == 16000
     assert np.abs(again - wav).max() < 1.01 / 32767
+
+
+def test_wav_cut_inside_its_sample_data_is_an_error_naming_the_file(tmp_path):
+    """Each cut, odd or even, used to load short without a word or fail without a name."""
+    whole = tmp_path / "whole.wav"
+    save_wav(whole, np.linspace(-0.5, 0.5, 50))
+    data = whole.read_bytes()
+    cut = tmp_path / "cut.wav"
+    for size in range(44, len(data)):      # 44 bytes of header, then the samples
+        cut.write_bytes(data[:size])
+        with pytest.raises(ValueError) as err:
+            load_wav(cut)
+        assert str(err.value) == (f"{cut}: not a WAV file: the sample data is cut short "
+                                  f"({size - 44} of 100 bytes)")

@@ -173,8 +173,7 @@ def test_prediction_record_json_round_trip():
 
 
 def tiny_models(seed=0, **serial_overrides):
-    kwargs = dict(feat_dim=8, vocab_size=len(VOCAB), enc_dim=16, dec_dim=24,
-                  max_decode_len=16)
+    kwargs = dict(feat_dim=8, enc_dim=16, dec_dim=24, max_decode_len=16)
     kwargs.update(serial_overrides)
     scfg = SerialConfig(**kwargs)
     serial = SerialModel(scfg, np.random.default_rng(seed))

@@ -18,8 +18,7 @@ VOCAB = build_vocab()
 
 
 def small_cfg(**overrides) -> SerialConfig:
-    base = dict(feat_dim=8, vocab_size=len(VOCAB), enc_dim=16, dec_dim=24,
-                max_decode_len=24)
+    base = dict(feat_dim=8, enc_dim=16, dec_dim=24, max_decode_len=24)
     base.update(overrides)
     return SerialConfig(**base)
 
