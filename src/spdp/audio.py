@@ -215,7 +215,9 @@ def load_wav(path: str | Path) -> tuple[np.ndarray, int]:
     try:
         with wave.open(str(path), "rb") as fh:
             if fh.getnchannels() != 1 or fh.getsampwidth() != 2:
-                raise ValueError("expected 16-bit mono WAV")
+                raise ValueError(f"{path}: not a WAV file: expected 16-bit mono, got "
+                                 f"{fh.getnchannels()} channels / "
+                                 f"{fh.getsampwidth()}-byte samples")
             sr = fh.getframerate()
             data, want = fh.readframes(fh.getnframes()), 2 * fh.getnframes()
             if len(data) < want:

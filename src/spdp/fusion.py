@@ -92,8 +92,10 @@ def predict(frames: np.ndarray, serial: SerialModel, parallel: ParallelPathModel
     """Full inference for B equal-length utterances, frames (B, T, F), over
     frozen parameters; one record per row.
 
-    Serial generation always runs first; the parallel path consumes the
-    generated transcripts' hidden states, once for all rows that have one.
+    Serial generation always runs first. It stops once every row's vote is
+    read rather than at every row's EOS, since no record holds a token after
+    the label's first one. The parallel path consumes the generated
+    transcripts' hidden states, once for all rows that have one.
     A row with an empty transcript has no linguistic evidence and gets None.
     When "<" never appears the serial vote is unavailable, so the fused
     result falls back to q alone.
@@ -104,7 +106,7 @@ def predict(frames: np.ndarray, serial: SerialModel, parallel: ParallelPathModel
     records: list[PredictionRecord | None] = [None] * frames.shape[0]
     with T.no_grad():
         enc_last, emb_a = serial.encode(frames)
-        gen = serial.generate_greedy(serial.adapt(enc_last), prompt)
+        gen = serial.generate_greedy(serial.adapt(enc_last), prompt, stop_at_vote=True)
         rows = [i for i, transcript in enumerate(gen.transcript) if transcript]
         if not rows:
             return records

@@ -37,9 +37,11 @@ class ParallelPathConfig:
         return self.n_subspaces + self.ref_dim
 
     def __post_init__(self) -> None:
-        for field in ("d_shared", "n_subspaces", "ref_dim"):
-            if getattr(self, field) < 1:
-                raise ValueError(f"{field} must be >= 1")
+        # A LayerNorm over one feature outputs only its bias, so d_shared = 1
+        # would blind the parallel path and make its cosine gradient NaN.
+        for field, least in (("d_shared", 2), ("n_subspaces", 1), ("ref_dim", 1)):
+            if getattr(self, field) < least:
+                raise ValueError(f"{field} must be >= {least}, got {getattr(self, field)}")
         if self.rep_dim % N_HEADS != 0:
             raise ValueError(f"n_subspaces + ref_dim must divide evenly into {N_HEADS} heads")
 

@@ -51,7 +51,8 @@ class SerialConfig:
 @dataclass
 class GenerationResult:
     """Greedy decodes of B rows; each list holds one entry per row."""
-    tokens: list[list[int]]
+    tokens: list[list[int]]          # with stop_at_vote, a voted row may end before
+                                     # EOS, at or after the label's first token
     p_nt: list[np.ndarray | None]    # next-token distribution after the first "<"
     transcript: list[list[int]]      # generated tokens before the first "<"
     flags: list[list[str]]
@@ -171,7 +172,8 @@ class SerialModel(Module):
         loss = T.token_cross_entropy(self.head(hidden), labels, loss_mask)
         return loss, _gather_transcript(hidden, prompts, transcript_lens)
 
-    def generate_greedy(self, audio_prefix: Tensor, prompt: list[int]) -> GenerationResult:
+    def generate_greedy(self, audio_prefix: Tensor, prompt: list[int],
+                        stop_at_vote: bool = False) -> GenerationResult:
         """Deterministic greedy decoding of B rows together, with a K/V cache.
 
         One cached pass over [audio | prompt], then one cached step per
@@ -180,6 +182,12 @@ class SerialModel(Module):
         distribution at the step right after the first "<". ``emb_t`` comes
         from the hidden states of the fed tokens, so a row still running at
         the end feeds its last token once more.
+
+        With ``stop_at_vote``, decoding also stops once every running row
+        has its ``p_nt``. A voted row stays in the batch until then, so
+        every row's transcript, ``p_nt``, ``emb_t`` and flags are those of
+        the full decode; only the tokens after the label's first token may
+        be missing.
         """
         batch, a_len = audio_prefix.shape[:2]
         max_len = self.cfg.max_decode_len
@@ -201,7 +209,8 @@ class SerialModel(Module):
                         p_nt[i] = dist[i].copy()
                     tokens[i].append(int(nxt[i]))
                 running &= nxt != EOS_ID
-                if not running.any():
+                waiting = running & [p is None for p in p_nt] if stop_at_vote else running
+                if not waiting.any():
                     break
                 last = self.decode_hidden(None, nxt[:, None], cache).data
                 states[:, step] = last[:, 0]

@@ -54,6 +54,21 @@ def test_unknown_profile_in_a_config_file_is_usage_error_before_any_output(tmp_p
     assert not out.exists()
 
 
+def test_d_shared_below_2_is_refused_when_the_config_is_built(tmp_path, capsys):
+    """A LayerNorm over one feature outputs its bias: a blind path with NaN gradients."""
+    with pytest.raises(ValueError, match="d_shared must be >= 2, got 1"):
+        RunConfig(d_shared=1)
+    RunConfig(d_shared=2)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("d_shared = 1\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage error: d_shared must be >= 2, got 1" in captured.err
+    assert not out.exists()
+
+
 def test_module_configs_take_the_run_config_dims():
     cfg = RunConfig()
     assert cfg.serial_config() == SerialConfig(

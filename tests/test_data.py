@@ -2,6 +2,7 @@
 
 import json
 import math
+import wave
 
 import numpy as np
 import numpy.testing as npt
@@ -512,3 +513,17 @@ def test_wav_cut_inside_its_sample_data_is_an_error_naming_the_file(tmp_path):
             load_wav(cut)
         assert str(err.value) == (f"{cut}: not a WAV file: the sample data is cut short "
                                   f"({size - 44} of 100 bytes)")
+
+
+@pytest.mark.parametrize("channels, width", [(2, 2), (1, 1)], ids=["stereo", "8-bit"])
+def test_wav_not_16_bit_mono_is_an_error_naming_the_file(tmp_path, channels, width):
+    path = tmp_path / "other.wav"
+    with wave.open(str(path), "wb") as fh:
+        fh.setnchannels(channels)
+        fh.setsampwidth(width)
+        fh.setframerate(16000)
+        fh.writeframes(bytes(10 * channels * width))
+    with pytest.raises(ValueError) as err:
+        load_wav(path)
+    assert str(err.value) == (f"{path}: not a WAV file: expected 16-bit mono, got "
+                              f"{channels} channels / {width}-byte samples")

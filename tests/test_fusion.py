@@ -213,7 +213,7 @@ def test_predict_empty_transcript_gives_no_record(monkeypatch):
     serial, parallel = tiny_models()
     from spdp.serial import GenerationResult
 
-    def immediate_style_open(audio_prefix, prompt):
+    def immediate_style_open(audio_prefix, prompt, stop_at_vote=False):
         return GenerationResult(tokens=[[2]], p_nt=[np.full(len(VOCAB), 1 / len(VOCAB))],
                                 transcript=[[]], flags=[[]], emb_t=np.zeros((1, 0, 24)))
 

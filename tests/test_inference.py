@@ -7,6 +7,8 @@ transcript's hidden states. The cached, batched path must give the same
 tokens, flags and transcripts, and the same numbers to 1e-12.
 """
 
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -238,8 +240,8 @@ def test_empty_transcript_row_keeps_the_other_records(trained, monkeypatch):
     utts = test[:4]
     real = model.serial.generate_greedy
 
-    def drop_row_1(audio_prefix, prompt):
-        gen = real(audio_prefix, prompt)
+    def drop_row_1(audio_prefix, prompt, stop_at_vote=False):
+        gen = real(audio_prefix, prompt, stop_at_vote=stop_at_vote)
         gen.transcript[1] = []
         gen.emb_t[1] = 0.0
         return gen
@@ -253,6 +255,55 @@ def test_empty_transcript_row_keeps_the_other_records(trained, monkeypatch):
         assert_same_record(recs[i], full[i])
     report = evaluate(model, utts)
     assert report.fallback_counts[NO_LINGUISTIC_EVIDENCE] == 1
+
+
+def predict_lines_and_decoder_calls(model, frames, monkeypatch, stop):
+    """(to_json_line or None per row, decode_hidden calls) of one predict."""
+    serial = model.serial
+    real_generate, real_decode = serial.generate_greedy, serial.decode_hidden
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return real_decode(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(serial, "decode_hidden", counting)
+        if not stop:
+            m.setattr(serial, "generate_greedy",
+                      lambda prefix, prompt, stop_at_vote: real_generate(prefix, prompt))
+        recs = predict(frames, *predict_args(model))
+    return [None if rec is None else rec.to_json_line() for rec in recs], len(calls)
+
+
+@pytest.mark.parametrize("budget", ["latest-open-cut", "latest-open-at-last-step",
+                                    "every-row-votes"])
+def test_stopping_at_the_vote_changes_no_record(trained, monkeypatch, budget):
+    model, test = trained
+    utts, prompt = test[:16], model.vocab.prompt_pool[0]
+    full = model.serial.generate_greedy(batch_prefix(model.serial, utts), prompt)
+    opens = [len(t) for t in full.transcript]
+    assert min(opens) < max(opens)          # rows vote at different steps
+    if budget != "every-row-votes":
+        cut = max(opens) + (budget == "latest-open-at-last-step")
+        monkeypatch.setattr(model.serial.cfg, "max_decode_len", cut)
+    frames = np.stack([u.frames for u in utts])
+    stopped, stopped_calls = predict_lines_and_decoder_calls(model, frames, monkeypatch, True)
+    whole, whole_calls = predict_lines_and_decoder_calls(model, frames, monkeypatch, False)
+    assert stopped == whole
+    flags = [json.loads(line)["flags"] for line in whole]
+    if budget == "latest-open-cut":
+        assert ["NoTermination", PARALLEL_ONLY_FALLBACK] in flags
+        assert stopped_calls == whole_calls
+    elif budget == "latest-open-at-last-step":
+        assert [PARALLEL_ONLY_FALLBACK] in flags
+        assert stopped_calls == whole_calls
+    else:
+        assert all(f == [] for f in flags)
+        # prefill, then one step per token up to the latest "<" and its label's first
+        assert stopped_calls == max(opens) + 2
+        assert whole_calls == max(len(tokens) for tokens in full.tokens)
+        assert stopped_calls < whole_calls
 
 
 def test_evaluate_calls_predict_once_per_batch(trained, monkeypatch):
