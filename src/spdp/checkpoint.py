@@ -117,9 +117,13 @@ def require_count(blobs: dict[str, Tensor], name: str) -> int:
 
 
 def restore_params(params: dict[str, Tensor], blobs: dict[str, Tensor]) -> None:
-    """Copy checkpoint payloads into the live tensors' arrays, in place and shape-checked."""
+    """Copy checkpoint payloads into the live tensors' arrays, in place and shape-checked.
+
+    A missing or wrong-shaped tensor is a ValueError naming the tensor; the
+    caller, which knows the file, puts its path in front."""
     for name, p in params.items():
         src = require_tensor(blobs, name)
         if src.shape != p.data.shape:
-            raise ValueError(f"shape mismatch for {name!r}: {src.shape} vs {p.data.shape}")
+            raise ValueError(f"shape mismatch for {name!r}: the checkpoint has {src.shape}, "
+                             f"the model {p.data.shape}")
         p.data[...] = src

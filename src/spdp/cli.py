@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: gen-data, train, eval, predict, filter, gradcheck. Exit codes:
+Subcommands: gen-data, train, eval, filter, gradcheck. Exit codes:
 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
 
@@ -24,8 +24,7 @@ from .config import RunConfig, make_run_config, parse_config_file
 from .corpus import generate_corpus, load_corpus, save_corpus
 from .fusion import total_loss
 from .gradcheck import grad_check
-from .trainer import (NO_LINGUISTIC_EVIDENCE, MetricsReport, SpdpModel, evaluate,
-                      make_out_dir, train, write_confusion_csv)
+from .trainer import SpdpModel, evaluate, make_out_dir, train, write_confusion_csv
 from .vocab import N_CLASSES, build_vocab
 
 EXIT_OK = 0
@@ -59,11 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", default=None, help="checkpoint to resume from")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint")
-    common(p)
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--split", choices=("train", "test"), default="test")
-
-    p = sub.add_parser("predict", help="write per-utterance prediction records")
     common(p)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--split", choices=("train", "test"), default="test")
@@ -149,12 +143,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _evaluate_checkpoint(args: argparse.Namespace) -> tuple[Path, MetricsReport]:
-    """Evaluate ``--checkpoint`` on ``--split``, writing predictions.jsonl under --out.
+def cmd_eval(args: argparse.Namespace) -> int:
+    """Evaluate ``--checkpoint`` on ``--split``, writing predictions.jsonl,
+    confusion.csv and report.json under --out.
 
-    The records go to a temporary name first and replace predictions.jsonl
-    only once the checkpoint is known unchanged, so a refused run leaves
-    --out as it found it.
+    Each file is written beside its target, and the three replace their
+    targets only once all are written and the checkpoint is known unchanged,
+    so a refused run leaves --out as it found it.
     """
     cfg = _load_run_config(args)
     utts = [u for u in _require_corpus(cfg) if u.split == args.split]
@@ -165,34 +160,32 @@ def _evaluate_checkpoint(args: argparse.Namespace) -> tuple[Path, MetricsReport]
         raise ValueError(f"checkpoint not found: {args.checkpoint}")
     before = hashlib.sha256(checkpoint.read_bytes()).hexdigest()
     model = SpdpModel(cfg)
-    restore_params(model.params(), load_checkpoint(checkpoint))
-    out = make_out_dir(cfg.out_dir)
-    tmp = out / "predictions.jsonl.tmp"
+    blobs = load_checkpoint(checkpoint)
     try:
-        report = evaluate(model, utts, records_out=tmp)
+        restore_params(model.params(), blobs)
+    except ValueError as err:
+        raise ValueError(f"{checkpoint}: {err}") from None
+    out = make_out_dir(cfg.out_dir)
+    targets = [out / name for name in ("predictions.jsonl", "confusion.csv", "report.json")]
+    for target in targets:          # os.replace onto a directory fails only at the rename
+        if target.is_dir():
+            raise ValueError(f"{target}: Is a directory")
+    records, confusion, report_json = tmps = [t.with_name(t.name + ".tmp") for t in targets]
+    try:
+        report = evaluate(model, utts, records_out=records)
+        write_confusion_csv(report, confusion)
+        report_json.write_text(report.to_json() + "\n", encoding="utf-8")
         if hashlib.sha256(checkpoint.read_bytes()).hexdigest() != before:
             raise ValueError("checkpoint changed during evaluation")
-        os.replace(tmp, out / "predictions.jsonl")
+        for tmp, target in zip(tmps, targets):
+            os.replace(tmp, target)
     finally:
-        tmp.unlink(missing_ok=True)
-    return out, report
-
-
-def cmd_eval(args: argparse.Namespace) -> int:
-    out, report = _evaluate_checkpoint(args)
-    write_confusion_csv(report, out / "confusion.csv")
-    (out / "report.json").write_text(report.to_json() + "\n", encoding="utf-8")
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
     print(f"eval n={report.n} fused={report.fused_accuracy:.4f} "
           f"serial={report.serial_accuracy:.4f} "
           f"parallel={report.parallel_accuracy:.4f} "
           f"fallbacks={report.fallback_counts}")
-    return EXIT_OK
-
-
-def cmd_predict(args: argparse.Namespace) -> int:
-    out, report = _evaluate_checkpoint(args)
-    written = report.n - report.fallback_counts.get(NO_LINGUISTIC_EVIDENCE, 0)
-    print(f"wrote {written} prediction records to {out / 'predictions.jsonl'}")
     return EXIT_OK
 
 
@@ -315,7 +308,6 @@ def main(argv: list[str] | None = None) -> int:
         "gen-data": cmd_gen_data,
         "train": cmd_train,
         "eval": cmd_eval,
-        "predict": cmd_predict,
         "filter": cmd_filter,
         "gradcheck": cmd_gradcheck,
     }

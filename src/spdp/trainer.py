@@ -159,8 +159,11 @@ def train(model: SpdpModel, train_utts: list[Utterance], out_dir: str | Path) ->
     keep = 0                # bytes of an existing log that the run keeps
     if cfg.resume:
         blobs = load_checkpoint(cfg.resume)
-        restore_params(model.params() | optimizer.state_tensors(), blobs)
-        optimizer.step_count = require_count(blobs, "opt.step")
+        try:
+            restore_params(model.params() | optimizer.state_tensors(), blobs)
+            optimizer.step_count = require_count(blobs, "opt.step")
+        except ValueError as err:
+            raise ValueError(f"{cfg.resume}: {err}") from None
         keep = _log_prefix(Path(out_dir) / "train_log.jsonl", optimizer.step_count)
     out_dir = make_out_dir(out_dir)
     model.vocab.save(out_dir / "vocab.tsv")

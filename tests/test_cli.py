@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface and its exit codes."""
 
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -85,16 +86,16 @@ def test_removed_config_key_is_usage_error(tmp_path, capsys, key):
 
 @pytest.mark.parametrize("command, flag, value", [
     (command, flag, value)
-    for command in ("gen-data", "train", "eval", "predict", "filter")
+    for command in ("gen-data", "train", "eval", "filter")
     for flag, value in (("--profile", "paper-dims"), ("--weights", "0,1"),
                         ("--loss-weights", "1,0"))
-] + [("eval", "--seed", "3"), ("predict", "--seed", "3")])
+] + [("eval", "--seed", "3")])
 def test_a_flag_that_would_change_nothing_is_refused(workspace, tmp_path, capsys, command,
                                                      flag, value):
-    """Profile and weights are config keys; eval and predict draw no seed."""
+    """Profile and weights are config keys; eval draws no seed."""
     out = tmp_path / "out"
     argv = [command, "--config", str(workspace["cfg"]), "--out", str(out), flag, value]
-    if command in ("eval", "predict"):
+    if command == "eval":
         argv += ["--checkpoint", str(workspace["run"] / "ckpt-epoch-1.spdp")]
     if command == "filter":
         argv += ["--wav-dir", str(workspace["data"] / "wav")]
@@ -303,7 +304,7 @@ frames = {data}/frames.bin
         assert r["L_total"] == pytest.approx(r["L_serial"])
 
 
-# -- eval and predict ----------------------------------------------------------------------
+# -- eval --------------------------------------------------------------------------
 
 
 def test_eval_outputs_are_internally_consistent(workspace, capsys):
@@ -330,10 +331,10 @@ def test_eval_outputs_are_internally_consistent(workspace, capsys):
     assert (out / "predictions.jsonl").exists()
 
 
-def test_predict_records_are_normalized(workspace, capsys):
+def test_eval_records_are_normalized(workspace, capsys):
     run, cfg = workspace["run"], workspace["cfg"]
     out = workspace["root"] / "pred"
-    assert main(["predict", "--config", str(cfg), "--out", str(out),
+    assert main(["eval", "--config", str(cfg), "--out", str(out),
                  "--checkpoint", str(run / "ckpt-epoch-1.spdp")]) == EXIT_OK
     capsys.readouterr()
     lines = (out / "predictions.jsonl").read_text().splitlines()
@@ -345,7 +346,7 @@ def test_predict_records_are_normalized(workspace, capsys):
         assert rec["class"] == int(np.argmax(rec["final"]))
 
 
-def test_predict_counts_only_the_records_written(workspace, monkeypatch, capsys):
+def test_eval_counts_only_the_records_written(workspace, monkeypatch, capsys):
     import spdp.trainer
     real = spdp.trainer.predict
 
@@ -357,11 +358,20 @@ def test_predict_counts_only_the_records_written(workspace, monkeypatch, capsys)
 
     monkeypatch.setattr(spdp.trainer, "predict", second_row_without_evidence)
     out = workspace["root"] / "pred-none"
-    assert main(["predict", "--config", str(workspace["cfg"]), "--out", str(out),
+    assert main(["eval", "--config", str(workspace["cfg"]), "--out", str(out),
                  "--checkpoint", str(workspace["run"] / "ckpt-epoch-1.spdp")]) == EXIT_OK
     lines = (out / "predictions.jsonl").read_text().splitlines()
     assert len(lines) == 7
-    assert "wrote 7 prediction records" in capsys.readouterr().out
+    assert "'NoLinguisticEvidence': 1" in capsys.readouterr().out
+
+
+def test_predict_is_not_a_subcommand(workspace, tmp_path, capsys):
+    """eval is the one inference command; it writes the prediction records."""
+    out = tmp_path / "out"
+    assert main(["predict", "--config", str(workspace["cfg"]), "--out", str(out),
+                 "--checkpoint", str(workspace["run"] / "ckpt-epoch-1.spdp")]) == EXIT_USAGE
+    assert "invalid choice: 'predict'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_eval_weights_keys_reach_the_fusion(workspace, tmp_path, capsys):
@@ -377,14 +387,14 @@ def test_eval_weights_keys_reach_the_fusion(workspace, tmp_path, capsys):
     assert all(rec["final"] == rec["q"] for rec in recs)
 
 
-@pytest.mark.parametrize("command", ["gen-data", "train", "eval", "predict", "filter"])
+@pytest.mark.parametrize("command", ["gen-data", "train", "eval", "filter"])
 def test_out_that_is_a_file_is_data_error(workspace, tmp_path, capsys, command):
     out = tmp_path / "taken"
     out.write_text("keep", encoding="utf-8")
     argv = [command, "--out", str(out)]
     if command != "gen-data":
         argv += ["--config", str(workspace["cfg"])]
-    if command in ("eval", "predict"):
+    if command == "eval":
         argv += ["--checkpoint", str(workspace["run"] / "ckpt-epoch-1.spdp")]
     if command == "filter":
         argv += ["--wav-dir", str(workspace["data"] / "wav")]
@@ -409,7 +419,7 @@ def test_eval_missing_checkpoint_is_data_error(workspace, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command", ["eval", "predict"])
+@pytest.mark.parametrize("command", ["eval"])
 def test_checkpoint_changed_during_evaluation_is_data_error(workspace, tmp_path, monkeypatch,
                                                             capsys, command):
     import spdp.cli
@@ -435,12 +445,40 @@ def test_checkpoint_changed_during_evaluation_is_data_error(workspace, tmp_path,
     assert {p.name: p.read_bytes() for p in out.iterdir()} == earlier
 
 
+def _snapshot(out):
+    return {p.name: p.read_bytes() if p.is_file() else sorted(p.iterdir())
+            for p in out.iterdir()}
+
+
+@pytest.mark.parametrize("fault", ["report-json-is-a-directory", "confusion-csv-write-fails"])
+def test_a_refused_eval_leaves_out_as_it_was(workspace, tmp_path, monkeypatch, capsys, fault):
+    import spdp.cli
+    out = tmp_path / "o"
+    argv = ["eval", "--config", str(workspace["cfg"]), "--out", str(out),
+            "--checkpoint", str(workspace["run"] / "ckpt-epoch-1.spdp")]
+    assert main(argv + ["--split", "train"]) == EXIT_OK     # other files than the test split's
+    if fault == "report-json-is-a-directory":
+        (out / "report.json").unlink()
+        (out / "report.json").mkdir()
+        message = f"data error: {out / 'report.json'}: Is a directory"
+    else:
+        def write_fails(report, path):
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        monkeypatch.setattr(spdp.cli, "write_confusion_csv", write_fails)
+        message = "No space left on device"
+    earlier = _snapshot(out)
+    assert sorted(earlier) == ["confusion.csv", "predictions.jsonl", "report.json"]
+    assert main(argv) == EXIT_DATA
+    assert message in capsys.readouterr().err
+    assert _snapshot(out) == earlier
+
+
 @pytest.mark.parametrize("command, key, message", [
     ("train", "manifest", "manifest file not found"),
     ("eval", "frames", "frames file not found"),
     ("train", "--resume", "resume checkpoint not found"),
     ("eval", "--checkpoint", "checkpoint not found"),
-    ("predict", "--checkpoint", "checkpoint not found"),
 ])
 def test_path_that_is_a_directory_is_data_error(workspace, tmp_path, capsys,
                                                 command, key, message):
@@ -478,7 +516,7 @@ def test_eval_refuses_damaged_checkpoint_as_data_error(workspace, tmp_path, caps
         bad.write_bytes(bytes(raw))
     assert main(["eval", "--config", str(workspace["cfg"]), "--out", str(tmp_path / "e"),
                  "--checkpoint", str(bad)]) == EXIT_DATA
-    assert message in capsys.readouterr().err
+    assert f"data error: {bad}: {message}" in capsys.readouterr().err
 
 
 def test_eval_on_a_truncated_checkpoint_is_data_error(workspace, tmp_path, capsys):
@@ -521,7 +559,9 @@ def test_eval_with_other_dims_than_the_checkpoint_is_data_error(workspace, tmp_p
     cfg.write_text(workspace["cfg"].read_text() + "enc_dim = 64\n", encoding="utf-8")
     assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "e"),
                  "--checkpoint", str(workspace["run"] / "ckpt-epoch-1.spdp")]) == EXIT_DATA
-    assert "shape mismatch for 'serial.enc_conv1.weight'" in capsys.readouterr().err
+    assert (f"{workspace['run'] / 'ckpt-epoch-1.spdp'}: shape mismatch for "
+            "'serial.enc_conv1.weight': the checkpoint has (3, 8, 16), the model (3, 8, 64)"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("n_dropped, missing", [
@@ -537,7 +577,7 @@ def test_resume_from_a_checkpoint_cut_at_a_record_boundary_is_data_error(
     out = tmp_path / "r"
     assert main(["train", "--config", str(workspace["cfg"]), "--out", str(out),
                  "--resume", str(cut)]) == EXIT_DATA
-    assert f"checkpoint missing tensor {missing!r}" in capsys.readouterr().err
+    assert f"{cut}: checkpoint missing tensor {missing!r}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -559,7 +599,8 @@ def test_resume_from_a_damaged_optimizer_state_is_data_error_before_any_output(
     out = tmp_path / "r"
     assert main(["train", "--config", str(workspace["cfg"]), "--out", str(out),
                  "--resume", str(bad)]) == EXIT_DATA
-    assert repr(name) in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"data error: {bad}: " in err and repr(name) in err
     assert not out.exists()
 
 
@@ -678,7 +719,7 @@ def test_train_refusal_comes_before_any_output(workspace, tmp_path, capsys, case
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["train", "eval", "predict"])
+@pytest.mark.parametrize("command", ["train", "eval"])
 def test_feat_dim_other_than_the_frames_width_is_data_error_before_any_output(
         workspace, tmp_path, capsys, command):
     cfg = tmp_path / "narrow.cfg"

@@ -1,5 +1,6 @@
 """Run-config surface: defaults, profiles, derived module configs, documentation."""
 
+import argparse
 import dataclasses
 import math
 import re
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from spdp import config
-from spdp.cli import EXIT_USAGE, main
+from spdp.cli import EXIT_USAGE, _build_parser, main
 from spdp.config import RunConfig, make_run_config
 from spdp.corpus import CorpusConfig
 from spdp.fusion import FusionConfig
@@ -122,6 +123,19 @@ def test_readme_key_table_lists_exactly_the_run_config_fields():
     keys = _readme_key_table()
     assert len(keys) == len(set(keys))
     assert set(keys) == {f.name for f in dataclasses.fields(RunConfig)}
+
+
+def test_readme_names_exactly_the_cli_subcommands():
+    """The commands the README's code blocks run, and the count its prose gives."""
+    [subparsers] = [a for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)]
+    commands = set(subparsers.choices)
+    text = README.read_text(encoding="utf-8")
+    blocks = "\n".join(text.split("```")[1::2])
+    assert set(re.findall(r"\bspdp ([a-z][a-z-]*)", blocks)) == commands
+    numbers = ["zero", "one", "two", "three", "four", "five", "six", "seven", "eight"]
+    [count] = re.findall(r"exposes (\w+) subcommands", text)
+    assert numbers.index(count) == len(commands)
 
 
 FLOAT_KEYS = [(cls, f.name) for cls in (RunConfig, CorpusConfig, FusionConfig)
