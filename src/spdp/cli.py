@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: gen-data, train, eval, filter, gradcheck. Exit codes:
+Subcommands: gen-data, train, eval, filter. Exit codes:
 0 success, 1 usage error, 2 data error, 3 numeric failure.
 """
 
@@ -15,15 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensor as T
 from .audio import (annotate_intersect, build_filter_fixture_set, compute_bins,
                     extract_features5, filter_high_expressivity, load_wav,
                     sample_confused_label)
 from .checkpoint import load_checkpoint, restore_params
 from .config import RunConfig, make_run_config, parse_config_file
 from .corpus import generate_corpus, load_corpus, save_corpus
-from .fusion import total_loss
-from .gradcheck import grad_check
 from .trainer import SpdpModel, evaluate, make_out_dir, train, write_confusion_csv
 from .vocab import N_CLASSES, build_vocab
 
@@ -69,13 +66,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", default=None,
                    help="JSON {filename: planted} for recall reporting")
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient verification "
-                       "of the desk-dims model")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--coords", type=int, default=4,
-                   help="sampled coordinates per parameter tensor")
-    p.add_argument("--inject-fault", action="store_true",
-                   help="corrupt one backward rule; run must then fail")
     return parser
 
 
@@ -205,6 +195,10 @@ def cmd_filter(args: argparse.Namespace) -> int:
         if not isinstance(truth, dict):
             raise ValueError(f"--truth {args.truth}: expected a JSON object of "
                              "filename: planted")
+        for name, value in truth.items():   # gen-data writes only true/false
+            if not isinstance(value, bool):
+                raise ValueError(f"--truth {args.truth}: {name!r} must be true or false, "
+                                 f"got {json.dumps(value)}")
         planted = {k for k, v in truth.items() if v}
         if not planted:
             raise ValueError(f"--truth {args.truth}: plants no file, so recall is undefined")
@@ -255,49 +249,6 @@ def cmd_filter(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(args: argparse.Namespace) -> int:
-    if args.coords < 1:
-        raise UsageError(f"--coords must be >= 1, got {args.coords}")
-    cfg = _load_run_config(args)    # no --config: gradients are checked at desk-dims
-    model = SpdpModel(cfg)
-    rng = np.random.default_rng(cfg.seed + 1)
-    frames = rng.normal(size=(2, 12, cfg.feat_dim))
-    labels = np.array([1, 5])
-    pool = model.vocab.prompt_pool
-    prompts = [pool[0], pool[1]]
-    blocks = model.vocab.class_blocks
-    targets = [model.vocab.build_target(list(blocks[1][:4]), 1),
-               model.vocab.build_target(list(blocks[5][:3]), 5)]
-    t_lens = [4, 3]
-    fusion_cfg = cfg.fusion_config()
-
-    def loss_fn():
-        l_s, l_p = model.batch_losses(frames, labels, prompts, targets, t_lens)
-        return total_loss(l_s, l_p, fusion_cfg)
-
-    if args.inject_fault:
-        T.set_backward_fault(True)
-    try:
-        report = grad_check(loss_fn, model.trainable_params(),
-                            max_coords_per_param=args.coords,
-                            rng=np.random.default_rng(cfg.seed + 2))
-    finally:
-        T.set_backward_fault(False)
-    tol = 1e-4
-    worst_name = max(report, key=report.get)
-    for name in sorted(report):
-        status = "ok" if report[name] < tol else "FAIL"
-        print(f"{status}  {report[name]:.3e}  {name}")
-    n_bad = sum(1 for v in report.values() if not (v < tol))
-    print(f"gradcheck: {len(report)} parameters, worst {report[worst_name]:.3e} "
-          f"({worst_name}), tolerance {tol:g}")
-    if n_bad or not all(np.isfinite(list(report.values()))):
-        print(f"gradcheck FAILED for {n_bad} parameter(s)")
-        return EXIT_NUMERIC
-    print("gradcheck passed")
-    return EXIT_OK
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -309,7 +260,6 @@ def main(argv: list[str] | None = None) -> int:
         "train": cmd_train,
         "eval": cmd_eval,
         "filter": cmd_filter,
-        "gradcheck": cmd_gradcheck,
     }
     try:
         return handlers[args.command](args)

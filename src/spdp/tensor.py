@@ -19,16 +19,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 _GRAD_ENABLED = [True]
-_BACKWARD_FAULT = [False]
 
 
 def grad_enabled() -> bool:
     return _GRAD_ENABLED[0]
-
-
-def set_backward_fault(enabled: bool) -> None:
-    """Deliberately corrupt one backward rule (negative control for gradcheck)."""
-    _BACKWARD_FAULT[0] = bool(enabled)
 
 
 @contextlib.contextmanager
@@ -339,8 +333,6 @@ def gelu(a) -> Tensor:
     def bw(g):
         dinner = _GELU_C * (1.0 + 3.0 * 0.044715 * (x * x))
         local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-        if _BACKWARD_FAULT[0]:
-            local = 0.5 * (1.0 + t)
         a._accum_grad(g * local, fresh=True)
 
     return _attach(out, (a,), bw)

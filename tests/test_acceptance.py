@@ -50,7 +50,7 @@ def test_criterion_1_gradient_fidelity():
         l_s, l_p = model.batch_losses(frames, labels, prompts, targets, [4, 3])
         return total_loss(l_s, l_p, fusion_cfg)
 
-    report = grad_check(loss_fn, model.trainable_params(), max_coords_per_param=3,
+    report = grad_check(loss_fn, model.params(), max_coords_per_param=3,
                         rng=np.random.default_rng(2))
     worst = max(report.values())
     elapsed = time.perf_counter() - t0

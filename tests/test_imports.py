@@ -44,6 +44,8 @@ def test_module_reads_every_name_it_imports(path):
 TEST_ONLY_API = {
     "curate_test",                      # tests/test_acceptance.py::test_criterion_7_curation_pipeline
     "PredictionRecord.from_json_line",  # tests/test_fusion.py::test_prediction_record_json_round_trip
+    "grad_check",                       # tests/test_acceptance.py::test_criterion_1_gradient_fidelity
+    "SpdpModel.trainable_params",       # perfbench/tests/test_spans.py (ROADMAP item 1 deletes it)
 }
 
 
@@ -62,16 +64,43 @@ def references(tree: ast.AST) -> Counter:
     return found
 
 
-def unused_definitions(defining: list[ast.Module], referencing: list[ast.Module]) -> list[str]:
+def tensor_references(tree: ast.AST, inside: bool) -> Counter:
+    """References that can only mean a ``spdp.tensor`` function: bare names
+    ``inside`` tensor.py; elsewhere ``T.<name>`` / ``tensor.<name>`` and
+    ``from .tensor import <name>``, so ``np.exp`` or a local ``sub`` is no caller."""
+    found: Counter = Counter()
+    for node in ast.walk(tree):
+        if inside and isinstance(node, ast.Name):
+            found[node.id] += 1
+        elif (not inside and isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id in ("T", "tensor")):
+            found[node.attr] += 1
+        elif not inside and isinstance(node, ast.ImportFrom) and node.module == "tensor":
+            found.update(a.name for a in node.names)
+    return found
+
+
+def unused_definitions(modules: dict[str, ast.Module], bench: list[ast.Module]) -> list[str]:
     """Public top-level functions and classes, and public methods of those
-    classes, that nothing in ``referencing`` names outside their own body."""
+    classes, that nothing in ``modules`` or ``bench`` names outside their own
+    body. A top-level function of tensor.py counts only ``tensor_references``
+    in ``modules``, and any reference in ``bench``."""
     total: Counter = Counter()
-    for tree in referencing:
+    tensor_total: Counter = Counter()
+    for tree in bench:
         total += references(tree)
+        tensor_total += references(tree)
+    for name, tree in modules.items():
+        total += references(tree)
+        tensor_total += tensor_references(tree, inside=name == "tensor.py")
     unused = []
-    for tree in defining:
+    for name, tree in modules.items():
         for node in tree.body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            if name == "tensor.py" and isinstance(node, ast.FunctionDef):
+                if tensor_total[node.name] == tensor_references(node, inside=True)[node.name]:
+                    unused.append(node.name)
                 continue
             defs = [(node.name, node)]
             if isinstance(node, ast.ClassDef):
@@ -90,15 +119,36 @@ def test_the_check_finds_a_leftover_definition():
                     "def leftover(n):\n    return leftover(n - 1)\n"
                     "def make():\n    return Box()\n"
                     "def named():\n    return None\n")
-    caller = ast.parse("from .box import make\nSPANS = ('named',)\n")
-    assert unused_definitions([box], [box, caller]) == ["Box.spare", "leftover"]
+    caller = ast.parse("from .box import make\n")
+    bench = ast.parse("SPANS = ('named',)\n")
+    assert unused_definitions({"box.py": box, "caller.py": caller}, [bench]) == [
+        "Box.spare", "leftover"]
+
+
+def test_the_check_counts_no_look_alike_as_a_tensor_function_caller():
+    tensor = ast.parse("def exp(a):\n    return a\n"
+                       "def log(a):\n    return a\n"
+                       "def sub(a, b):\n    return a\n"
+                       "def power(a, p):\n    return power(a, p - 1)\n"
+                       "def gelu(a):\n    return tsum(a)\n"
+                       "def tsum(a):\n    return a\n"
+                       "def take(a):\n    return a\n")
+    cli = ast.parse("import numpy as np\n"
+                    "from . import tensor as T\n"
+                    "from .tensor import log\n"
+                    "def _run(parser, x):\n"
+                    "    sub = parser.add_subparsers()\n"
+                    "    return sub, np.exp(x), np.power(x, 2), log(x), T.gelu(x)\n")
+    bench = ast.parse("TENSOR_FUNCS = ('take',)\n")
+    assert unused_definitions({"tensor.py": tensor, "cli.py": cli}, [bench]) == [
+        "exp", "power", "sub"]
 
 
 def test_every_public_definition_has_a_caller():
-    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))]
-    bench = sorted((SRC.parent.parent / "perfbench").glob("*.py"))
-    callers = trees + [ast.parse(p.read_text(encoding="utf-8")) for p in bench]
-    assert unused_definitions(trees, callers) == sorted(TEST_ONLY_API)
+    modules = {p.name: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    bench = [ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted((SRC.parent.parent / "perfbench").glob("*.py"))]
+    assert unused_definitions(modules, bench) == sorted(TEST_ONLY_API)
 
 
 # The exception types ``cli.main`` maps to an exit code: 1, 2 and 3.

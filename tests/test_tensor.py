@@ -496,14 +496,13 @@ def test_grad_check_flags_corrupted_backward():
     x = Tensor(rng.normal(size=6), requires_grad=True)
 
     def loss():
-        return T.tsum(T.gelu(x))
+        out = T.gelu(x)
+        rule = out._backward
+        if rule is not None:        # None in the perturbed forwards, which run under no_grad
+            out._backward = lambda g: rule(1.1 * g)
+        return T.tsum(out)
 
-    T.set_backward_fault(True)
-    try:
-        report = grad_check(loss, {"x": x})
-    finally:
-        T.set_backward_fault(False)
-    assert report["x"] > 1e-2
+    assert grad_check(loss, {"x": x})["x"] > 1e-2
 
 
 # -- AdamW -----------------------------------------------------------------------------

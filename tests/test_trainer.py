@@ -5,11 +5,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from spdp import tensor as T
 from spdp.checkpoint import load_checkpoint, restore_params
 from spdp.config import RunConfig
 from spdp.corpus import generate_corpus
 from spdp.fusion import total_loss
+from spdp.gradcheck import grad_check
 from spdp.optim import AdamW
 from spdp.trainer import SpdpModel, _epoch_rng, train
 
@@ -265,3 +269,66 @@ def test_train_steps_do_not_keep_an_earlier_graph_alive():
     finally:
         tracemalloc.stop()
     assert peak < 50 * 2**20, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_grad_check_flags_a_one_percent_fault_in_the_model(monkeypatch):
+    """The negative control of acceptance criterion 1: its batch, at desk dims,
+    with every GELU's backward rule scaled by 1.01."""
+    gelu = T.gelu
+
+    def faulty_gelu(a):
+        out = gelu(a)
+        rule = out._backward
+        if rule is not None:        # None in the perturbed forwards, which run under no_grad
+            out._backward = lambda g: rule(1.01 * g)
+        return out
+
+    monkeypatch.setattr(T, "gelu", faulty_gelu)
+    cfg = RunConfig(seed=0)
+    model = SpdpModel(cfg)
+    frames = np.random.default_rng(1).normal(size=(2, 12, cfg.feat_dim))
+    v = model.vocab
+    targets = [v.build_target(list(v.class_blocks[1][:4]), 1),
+               v.build_target(list(v.class_blocks[5][:3]), 5)]
+
+    def loss_fn():
+        l_s, l_p = model.batch_losses(frames, np.array([1, 5]), v.prompt_pool[:2],
+                                      targets, [4, 3])
+        return total_loss(l_s, l_p, cfg.fusion_config())
+
+    report = grad_check(loss_fn, model.params(), max_coords_per_param=1,
+                        rng=np.random.default_rng(2))
+    assert max(report.values()) > 1e-4
+
+
+@settings(max_examples=300, deadline=None)
+@given(feat_dim=st.integers(0, 3), frames_per_utt=st.integers(0, 3),
+       enc_dim=st.sampled_from([3, 4, 8]), dec_dim=st.sampled_from([3, 4, 8]),
+       d_shared=st.integers(1, 3),
+       subspaces=st.sampled_from([(1, 0), (1, 3), (2, 2), (3, 1), (2, 3), (1, 7)]),
+       batch_size=st.sampled_from([0, 1, 2, 100_000]))
+def test_every_config_run_config_accepts_trains_a_finite_step(
+        feat_dim, frames_per_utt, enc_dim, dec_dim, d_shared, subspaces, batch_size):
+    """Near each dimension's lower bound a config is refused when built, or it
+    gives a finite loss and finite gradients."""
+    n_subspaces, ref_dim = subspaces
+    try:
+        cfg = RunConfig(n_per_class=2, feat_dim=feat_dim, frames_per_utt=frames_per_utt,
+                        enc_dim=enc_dim, dec_dim=dec_dim, d_shared=d_shared,
+                        n_subspaces=n_subspaces, ref_dim=ref_dim, batch_size=batch_size)
+    except ValueError:
+        return
+    model = SpdpModel(cfg)
+    v = model.vocab
+    batch = [u for u in generate_corpus(cfg.corpus_config(), v)
+             if u.split == "train"][:batch_size]
+    prompts = [v.prompt_pool[i % len(v.prompt_pool)] for i in range(len(batch))]
+    l_s, l_p = model.batch_losses(np.stack([u.frames for u in batch]),
+                                  np.array([u.gold_style for u in batch]), prompts,
+                                  [v.build_target(u.transcript, u.gold_style) for u in batch],
+                                  [len(u.transcript) for u in batch])
+    loss = total_loss(l_s, l_p, cfg.fusion_config())
+    loss.backward()
+    assert np.isfinite(l_s.data) and np.isfinite(l_p.data) and np.isfinite(loss.data)
+    assert [name for name, p in model.params().items()
+            if p.grad is None or not np.isfinite(p.grad).all()] == []
