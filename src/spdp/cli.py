@@ -205,6 +205,11 @@ def cmd_filter(args: argparse.Namespace) -> int:
     paths = sorted(wav_dir.glob("*.wav"))
     if not paths:
         raise ValueError(f"no WAV files in {wav_dir}")
+    if planted is not None:     # a stale key would read as a missed plant
+        unknown = sorted(set(truth) - {path.name for path in paths})
+        if unknown:
+            raise ValueError(f"--truth {args.truth}: {unknown[0]!r} names no .wav file "
+                             f"in {wav_dir} ({len(unknown)} such key(s))")
     features, names, skipped = [], [], 0
     for path in paths:
         try:

@@ -258,7 +258,9 @@ def linear(x, w, b) -> Tensor:
     x, w, b = as_tensor(x), as_tensor(w), as_tensor(b)
     if w.ndim != 2 or b.shape != (w.shape[1],) or x.shape[-1:] != w.shape[:1]:
         raise ValueError("linear needs x (..., d_in), w (d_in, d_out) and b (d_out,)")
-    out = Tensor(np.matmul(x.data, w.data) + b.data)
+    y = np.matmul(x.data, w.data)
+    y += b.data
+    out = Tensor(y)
 
     def bw(g):
         if b.requires_grad:
@@ -323,17 +325,38 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 
 
 def gelu(a) -> Tensor:
-    """tanh-approximation GELU: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
+    """tanh-approximation GELU: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3))).
+
+    The backward is g * (0.5*(1 + t) + 0.5*x*(1 - t*t)*c*(1 + 3*0.044715*x*x)).
+    Both directions build their terms in place, in that order of operations.
+    """
     a = as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * (x * x * x))
-    t = np.tanh(inner)
-    out = Tensor(0.5 * x * (1.0 + t))
+    t = x * x
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    y = np.multiply(x, 0.5)
+    y *= t + 1.0
+    out = Tensor(y)
 
     def bw(g):
-        dinner = _GELU_C * (1.0 + 3.0 * 0.044715 * (x * x))
-        local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
-        a._accum_grad(g * local, fresh=True)
+        d = np.multiply(x, 0.5)
+        w = t * t
+        np.subtract(1.0, w, out=w)
+        d *= w                              # 0.5*x*(1 - t*t)
+        np.multiply(x, x, out=w)
+        w *= 3.0 * 0.044715
+        w += 1.0
+        w *= _GELU_C
+        d *= w                              # ... * dinner
+        np.add(t, 1.0, out=w)
+        w *= 0.5
+        w += d
+        w *= g
+        a._accum_grad(w, fresh=True)
 
     return _attach(out, (a,), bw)
 
@@ -437,12 +460,15 @@ def embedding(table, ids: np.ndarray) -> Tensor:
 # -- normalized exponentials ---------------------------------------------------
 
 
-def _masked_input(x: np.ndarray, axis: int, mask: np.ndarray | None) -> np.ndarray:
-    z = x if mask is None else x + mask
+def _masked_input(x: np.ndarray, axis: int, mask: np.ndarray | None,
+                  out: np.ndarray | None = None) -> np.ndarray:
+    """``x + mask`` less its peak along ``axis``, in ``out`` (which may be ``x``)
+    when it is given and in a new array otherwise."""
+    z = x if mask is None else np.add(x, mask, out=out)
     peak = z.max(axis=axis, keepdims=True)
     if np.isneginf(peak).any():
         raise ValueError("empty softmax support")
-    return z - peak
+    return np.subtract(z, peak, out=out)
 
 
 def softmax(a, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
@@ -451,9 +477,9 @@ def softmax(a, axis: int = -1, mask: np.ndarray | None = None) -> Tensor:
     Masked entries come out exactly 0 and receive no gradient.
     """
     a = as_tensor(a)
-    z = _masked_input(a.data, axis, mask)
-    e = np.exp(z)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = _masked_input(a.data, axis, mask)
+    np.exp(y, out=y)
+    y /= y.sum(axis=axis, keepdims=True)
     out = Tensor(y)
 
     def bw(g):
@@ -499,9 +525,11 @@ def attention(q, k, v, n_heads: int, mask: np.ndarray | None = None) -> Tensor:
         return x.reshape(batch, length, n_heads, head_dim).transpose(0, 2, 1, 3)
 
     qh, kh, vh = split(q.data, t), split(k.data, t_k), split(v.data, t_k)
-    z = _masked_input(np.matmul(qh, np.swapaxes(kh, -1, -2)) * scale, -1, mask)
-    e = np.exp(z)
-    p = e / e.sum(axis=-1, keepdims=True)
+    p = np.matmul(qh, np.swapaxes(kh, -1, -2))     # the softmax runs in this block
+    p *= scale
+    _masked_input(p, -1, mask, out=p)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
     out = Tensor(np.matmul(p, vh).transpose(0, 2, 1, 3).reshape(batch, t, dim))
 
     def bw(g):
@@ -509,8 +537,10 @@ def attention(q, k, v, n_heads: int, mask: np.ndarray | None = None) -> Tensor:
         if v.requires_grad:
             v._accum_grad(np.matmul(np.swapaxes(p, -1, -2), go)
                           .transpose(0, 2, 1, 3).reshape(batch, t_k, dim), fresh=True)
-        dp = np.matmul(go, np.swapaxes(vh, -1, -2))
-        ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+        ds = np.matmul(go, np.swapaxes(vh, -1, -2))    # dP, then dS in place
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= scale
         if q.requires_grad:
             q._accum_grad(np.matmul(ds, kh).transpose(0, 2, 1, 3).reshape(batch, t, dim),
                           fresh=True)
@@ -532,23 +562,42 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
         raise ValueError("layer_norm requires a nonzero feature extent")
     if gamma.data.shape != (feat,) or beta.data.shape != (feat,):
         raise ValueError("layer_norm affine parameters must match the feature extent")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = Tensor(gamma.data * xhat + beta.data)
+    # A mean is taken as sum / n, which is how numpy's mean computes it. Each
+    # array that a sum reads has the memory layout that the plain formula
+    # would give it, since the order of a sum follows the layout.
+    mu = x.data.sum(axis=-1, keepdims=True)
+    mu /= feat
+    xhat = x.data - mu                          # centered, then normalized in place
+    y = xhat * xhat
+    var = y.sum(axis=-1, keepdims=True)
+    var /= feat
+    var += eps
+    inv = np.divide(1.0, np.sqrt(var, out=var), out=var)
+    xhat *= inv
+    np.multiply(gamma.data, xhat, out=y)
+    y += beta.data
+    out = Tensor(y)
     lead_axes = tuple(range(x.data.ndim - 1))
 
     def bw(g):
+        # gx = g*gamma; dx = (gx - mean(gx) - xhat*mean(gx*xhat)) * inv
+        buf = g * xhat
         if gamma.requires_grad:
-            gamma._accum_grad((g * xhat).sum(axis=lead_axes), fresh=True)
+            gamma._accum_grad(buf.sum(axis=lead_axes), fresh=True)
         if beta.requires_grad:
             beta._accum_grad(g.sum(axis=lead_axes), fresh=True)
         if x.requires_grad:
             gx = g * gamma.data
-            term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-            x._accum_grad(term * inv, fresh=True)
+            mean_gx = gx.sum(axis=-1, keepdims=True)
+            mean_gx /= feat
+            np.multiply(gx, xhat, out=buf)
+            mean_gxx = buf.sum(axis=-1, keepdims=True)
+            mean_gxx /= feat
+            gx -= mean_gx
+            np.multiply(xhat, mean_gxx, out=buf)
+            np.subtract(gx, buf, out=buf)
+            buf *= inv
+            x._accum_grad(buf, fresh=True)
 
     return _attach(out, (x, gamma, beta), bw)
 
@@ -634,7 +683,9 @@ def conv1d(x, weight, bias, stride: int = 1, padding: int = 1) -> Tensor:
     pos = np.arange(t_out)[:, None] * stride + np.arange(k)[None, :]
     cols = xpad[:, pos, :]                       # (B, T_out, K, C_in)
     w2 = weight.data.reshape(k * c_in, c_out)
-    out = Tensor(cols.reshape(batch, t_out, k * c_in) @ w2 + bias.data)
+    y = cols.reshape(batch, t_out, k * c_in) @ w2
+    y += bias.data
+    out = Tensor(y)
 
     def bw(g):
         if bias.requires_grad:

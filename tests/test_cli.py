@@ -972,6 +972,23 @@ def test_filter_truth_value_that_is_not_a_boolean_is_data_error_before_any_outpu
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["true", "false"], ids=["planted", "background"])
+def test_filter_truth_key_that_names_no_wav_file_is_data_error_before_any_output(
+        workspace, tmp_path, capsys, value):
+    # Counted as a planted file, such a key read as a missed plant: recall 0.800, exit 0.
+    wav_dir = workspace["data"] / "wav"
+    truth = tmp_path / "truth.json"
+    truth.write_text((wav_dir / "truth.json").read_text(encoding="utf-8")
+                     .replace("{", f'{{"missing-9999.wav": {value}, ', 1), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["filter", "--wav-dir", str(wav_dir), "--out", str(out),
+                 "--truth", str(truth)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert (f"--truth {truth}: 'missing-9999.wav' names no .wav file in {wav_dir}"
+            in captured.err)
+    assert captured.out == "" and not out.exists()
+
+
 def test_filter_empty_directory_is_data_error(tmp_path, capsys):
     (tmp_path / "empty").mkdir()
     assert main(["filter", "--wav-dir", str(tmp_path / "empty"),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from spdp import optim
 from spdp import tensor as T
 from spdp.checkpoint import load_checkpoint, save_checkpoint
 from spdp.gradcheck import grad_check
@@ -349,6 +350,105 @@ def test_attention_fully_masked_row_raises():
         T.attention(x, x, x, 2, mask)
 
 
+# -- in-place kernels against the plain formulas ----------------------------------------
+#
+# gelu, layer_norm, linear and attention build their results in reused
+# buffers. Each reference below is the kernel written as plain NumPy
+# expressions; the kernels must give the same bits, forward and backward.
+
+
+def plain_gelu(x, g):
+    c = math.sqrt(2.0 / math.pi)
+    t = np.tanh(c * (x + 0.044715 * (x * x * x)))
+    dinner = c * (1.0 + 3.0 * 0.044715 * (x * x))
+    local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner
+    return 0.5 * x * (1.0 + t), [g * local]
+
+
+def plain_layer_norm(x, gamma, beta, g, eps=1e-5):
+    centered = x - x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((centered * centered).mean(axis=-1, keepdims=True) + eps)
+    xhat = centered * inv
+    lead = tuple(range(x.ndim - 1))
+    gx = g * gamma
+    term = gx - gx.mean(axis=-1, keepdims=True) - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+    return gamma * xhat + beta, [term * inv, (g * xhat).sum(axis=lead), g.sum(axis=lead)]
+
+
+def plain_linear(x, w, b, g):
+    gb = g
+    while gb.ndim > 1:
+        gb = gb.sum(axis=0)
+    gw = x.reshape(-1, w.shape[0]).T @ g.reshape(-1, w.shape[1])
+    return np.matmul(x, w) + b, [np.matmul(g, w.T), gw, gb]
+
+
+def plain_attention(q, k, v, g, n_heads, mask):
+    batch, t, dim = q.shape
+    t_k, head_dim = k.shape[1], dim // n_heads
+    scale = 1.0 / math.sqrt(head_dim)
+
+    def split(x, length):
+        return x.reshape(batch, length, n_heads, head_dim).transpose(0, 2, 1, 3)
+
+    qh, kh, vh = split(q, t), split(k, t_k), split(v, t_k)
+    z = np.matmul(qh, np.swapaxes(kh, -1, -2)) * scale + mask
+    z = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=-1, keepdims=True)
+    out = np.matmul(p, vh).transpose(0, 2, 1, 3).reshape(batch, t, dim)
+    go = split(g, t)
+    dv = np.matmul(np.swapaxes(p, -1, -2), go).transpose(0, 2, 1, 3).reshape(batch, t_k, dim)
+    dp = np.matmul(go, np.swapaxes(vh, -1, -2))
+    ds = p * (dp - (dp * p).sum(axis=-1, keepdims=True)) * scale
+    dq = np.matmul(ds, kh).transpose(0, 2, 1, 3).reshape(batch, t, dim)
+    dk = np.matmul(np.swapaxes(qh, -1, -2), ds).transpose(0, 3, 1, 2).reshape(batch, t_k, dim)
+    return out, [dq, dk, dv]
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == \
+        np.ascontiguousarray(b).tobytes()
+
+
+ATTENTION_MASK = causal_mask(7) + key_padding([[1] * 7, [1] * 5 + [0] * 2])
+
+INPLACE_CASES = {
+    # kernel, plain formula, input shapes, extra arguments. (16, 12, 40) is
+    # the shape of the classifier's final LayerNorm.
+    "gelu": (T.gelu, plain_gelu, [(16, 12, 40)], ()),
+    "layer_norm": (T.layer_norm, plain_layer_norm, [(16, 12, 40), (40,), (40,)], ()),
+    "linear": (T.linear, plain_linear, [(16, 12, 40), (40, 24), (24,)], ()),
+    "attention": (T.attention, plain_attention, [(2, 7, 8)] * 3, (2, ATTENTION_MASK)),
+}
+
+
+@pytest.mark.parametrize("kernel", INPLACE_CASES)
+def test_inplace_kernel_matches_its_plain_formula_bit_for_bit(kernel):
+    fn, plain, shapes, extra = INPLACE_CASES[kernel]
+    rng = np.random.default_rng(31)
+    arrays = [rng.normal(size=s) for s in shapes]
+    inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = fn(*inputs, *extra)
+    # The incoming gradient is a transposed view, as the classifier's final
+    # LayerNorm receives it: (16, 12, 40) with strides (3840, 8, 96).
+    lead, last = out.shape[:-2], out.shape[-2:]
+    g = rng.normal(size=lead + last[::-1]).swapaxes(-1, -2)
+    assert not g.flags.c_contiguous
+    g_before = g.copy()
+    out._backward(g)
+    want_out, want_grads = plain(*arrays, g, *extra)
+    assert same_bits(out.data, want_out)
+    for x, a, want in zip(inputs, arrays, want_grads):
+        assert same_bits(x.grad, want)
+        # The layout too: it sets the order of the sums that the gradient's
+        # next rule takes. The formulas hand off C-order arrays, except the
+        # attention key gradient, a transposed view whatever g is.
+        assert x.grad.strides == want.strides
+        assert same_bits(x.data, a)                  # the inputs are left as they were
+    assert same_bits(g, g_before)
+
+
 def test_take_repeated_advanced_indices_accumulate():
     a = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
     T.tsum(T.take(a, np.array([0, 2, 0, 0]))).backward()
@@ -533,6 +633,56 @@ def test_adamw_identical_params_identical_updates():
         p2.grad = np.array([0.7])
         opt.step()
     npt.assert_allclose(p1.data, p2.data, atol=0)
+
+
+def per_tensor_adamw_step(params, grads, m, v, t, lr, weight_decay):
+    """AdamW as a loop over separate tensors: the reference for the arena."""
+    bc1, bc2 = 1.0 - optim.BETA1 ** t, 1.0 - optim.BETA2 ** t
+    for name, data in params.items():
+        g = grads[name]
+        if g is None:
+            continue
+        data *= 1.0 - lr * weight_decay
+        m[name] *= optim.BETA1
+        m[name] += (1.0 - optim.BETA1) * g
+        v[name] *= optim.BETA2
+        v[name] += (1.0 - optim.BETA2) * (g * g)
+        data -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + optim.EPS)
+
+
+def test_adamw_arena_matches_the_per_tensor_loop_bit_for_bit():
+    rng = np.random.default_rng(23)
+    # "big" spans several update blocks; "skipped" has no gradient after step 1.
+    shapes = {"w": (3, 4), "big": (2 * optim.BLOCK + 5,), "skipped": (7, 5),
+              "b": (1,), "cube": (2, 3, 4)}
+    start = {name: rng.normal(size=s) for name, s in shapes.items()}
+    params = {name: Tensor(a.copy(), requires_grad=True) for name, a in start.items()}
+    opt = AdamW(params, lr=0.01, weight_decay=0.1)
+    bases = [{id(arrays[name].base) for name in shapes}
+             for arrays in ({n: p.data for n, p in params.items()}, opt.m, opt.v)]
+    assert all(len(ids) == 1 for ids in bases) and len(set.union(*bases)) == 3
+    assert all(np.array_equal(params[name].data, a) for name, a in start.items())
+
+    ref = {name: a.copy() for name, a in start.items()}
+    ref_m = {name: np.zeros(s) for name, s in shapes.items()}
+    ref_v = {name: np.zeros(s) for name, s in shapes.items()}
+    for step in range(1, 4):
+        grads = {name: rng.normal(size=s) for name, s in shapes.items()}
+        if step > 1:
+            grads["skipped"] = None
+        for name, p in params.items():
+            p.grad = grads[name]
+        if step == 2:
+            frozen = [a.copy() for a in (params["skipped"].data, opt.m["skipped"],
+                                         opt.v["skipped"])]
+        opt.step()
+        per_tensor_adamw_step(ref, grads, ref_m, ref_v, step, 0.01, 0.1)
+        for name in shapes:
+            for got, want in ((params[name].data, ref[name]), (opt.m[name], ref_m[name]),
+                              (opt.v[name], ref_v[name])):
+                assert got.tobytes() == want.tobytes(), (step, name)
+    skipped = (params["skipped"].data, opt.m["skipped"], opt.v["skipped"])
+    assert all(np.array_equal(a, b) for a, b in zip(skipped, frozen))
 
 
 # -- checkpoint container ----------------------------------------------------------------
