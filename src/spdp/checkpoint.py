@@ -1,20 +1,17 @@
 """Binary checkpoint container for named float64 tensors.
 
-Layout (all integers little-endian):
-
-    magic   4 bytes  b"SPDP"
-    version u32
-    record* until EOF, each:
-        name_len u32, name (UTF-8), rank u32, extents (rank x u64),
-        payload (prod(extents) x f64, row-major)
-
-Round-trips are bit-exact: the payload is the raw IEEE-754 buffer. Version
-2 names each subspace stack once (``parallel.sub_a.w``), where version 1
-held one ``parallel.sub_a.<n>.w`` per subspace.
+A file is ``magic b"SPDP" | u32 version 3 | u64 head_len | head | payload``,
+integers little-endian. The head is the UTF-8 JSON list ``[[name, [extent,
+...]], ...]`` in save order. The payload holds each tensor's float64 values,
+row-major, in head order, and the file ends where the payload ends.
+Round-trips are bit-exact. There is no checksum, so a damaged payload byte
+still loads. Versions 1 and 2 (one self-framed record per tensor) are refused.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
 import math
 import os
 import struct
@@ -25,7 +22,8 @@ import numpy as np
 from .tensor import Tensor
 
 MAGIC = b"SPDP"
-VERSION = 2
+VERSION = 3
+FIXED = struct.Struct("<4sIQ")      # magic, version, head_len
 
 
 def save_checkpoint(path: str | Path, tensors: dict[str, Tensor]) -> None:
@@ -34,18 +32,14 @@ def save_checkpoint(path: str | Path, tensors: dict[str, Tensor]) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
+        arrays = [np.ascontiguousarray(t.data, dtype="<f8") for t in tensors.values()]
+        head = json.dumps([[name, list(arr.shape)] for name, arr in zip(tensors, arrays)],
+                          separators=(",", ":")).encode("utf-8")
         with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", VERSION))
-            for name, t in tensors.items():
-                raw = name.encode("utf-8")
-                arr = np.ascontiguousarray(t.data, dtype="<f8")
-                fh.write(struct.pack("<I", len(raw)))
-                fh.write(raw)
-                fh.write(struct.pack("<I", arr.ndim))
-                for extent in arr.shape:
-                    fh.write(struct.pack("<Q", extent))
-                fh.write(arr.tobytes())
+            fh.write(FIXED.pack(MAGIC, VERSION, len(head)))
+            fh.write(head)
+            for arr in arrays:
+                fh.write(arr)       # the array's own buffer, not a copy
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -53,49 +47,42 @@ def save_checkpoint(path: str | Path, tensors: dict[str, Tensor]) -> None:
 
 
 def load_checkpoint(path: str | Path) -> dict[str, Tensor]:
-    """Read every record; a file that is not a whole checkpoint is a ValueError
-    naming the file and, where known, the tensor."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != MAGIC:
+    """Read a whole checkpoint; its tensors view one array of the file's bytes.
+    A file that is not exactly one checkpoint is a ValueError naming the file."""
+    blob = np.fromfile(path, dtype=np.uint8)
+    fixed = blob[:FIXED.size].tobytes()
+    if fixed[:4] != MAGIC:
         raise ValueError(f"{path}: not a checkpoint file: bad magic")
-    out: dict[str, Tensor] = {}
-    off, total = 8, len(blob)
-    name = None
+    if len(fixed) >= 8 and (version := int.from_bytes(fixed[4:8], "little")) != VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    if len(fixed) < FIXED.size or (end := FIXED.size + FIXED.unpack(fixed)[2]) > blob.size:
+        raise ValueError(f"{path}: checkpoint is cut short in its head")
     try:
-        (version,) = struct.unpack_from("<I", blob, 4)
-        if version != VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        while off < total:
-            name = None
-            (name_len,) = struct.unpack_from("<I", blob, off)
-            off += 4
-            if off + name_len > total:
-                raise struct.error("name runs past the end")
-            try:
-                name = blob[off:off + name_len].decode("utf-8")
-            except UnicodeDecodeError:
-                raise ValueError(f"{path}: the tensor name of record {len(out) + 1} "
-                                 "is not UTF-8") from None
-            off += name_len
-            (rank,) = struct.unpack_from("<I", blob, off)
-            off += 4
-            shape = struct.unpack_from(f"<{rank}Q", blob, off)
-            off += 8 * rank
-            count = math.prod(shape)        # exact: a product of u64 extents may not fit int64
-            if off + 8 * count > total:
-                raise ValueError(f"{path}: checkpoint is cut short in the payload of "
-                                 f"tensor {name!r} ({total - off} of {8 * count} bytes)")
-            payload = np.frombuffer(blob, dtype="<f8", count=count, offset=off)
-            try:        # an empty payload may still come with extents numpy cannot hold
-                arr = payload.reshape(shape)
-            except ValueError as err:
-                raise ValueError(f"{path}: tensor {name!r} has shape {shape}: {err}") from None
-            off += 8 * count
-            out[name] = Tensor(arr.astype(np.float64))
-    except struct.error as err:
-        where = f"tensor {name!r}" if name is not None else f"record {len(out) + 1}"
-        raise ValueError(f"{path}: checkpoint is cut short in the header of {where}") from err
+        head = json.loads(blob[FIXED.size:end].tobytes().decode("utf-8"))
+    except (ValueError, RecursionError):    # not UTF-8, not JSON, or nested too deep
+        head = None
+    if not isinstance(head, list) or not all(
+            isinstance(pair, list) and len(pair) == 2 and isinstance(pair[0], str)
+            and isinstance(pair[1], list) and all(type(n) is int and n >= 0 for n in pair[1])
+            for pair in head):
+        raise ValueError(f"{path}: checkpoint head is not a JSON list of "
+                         "[name, [extent, ...]] pairs")
+    counts = [math.prod(shape) for _, shape in head]
+    have, want = blob.size - end, 8 * sum(counts)
+    if have < want:
+        raise ValueError(f"{path}: checkpoint is cut short in its payload "
+                         f"({have} of {want} bytes)")
+    if have > want:
+        raise ValueError(f"{path}: checkpoint has {have - want} bytes after its payload")
+    payload = blob[end:].view("<f8")
+    out: dict[str, Tensor] = {}
+    for (name, shape), start, count in zip(head, itertools.accumulate(counts, initial=0), counts):
+        if name in out:
+            raise ValueError(f"{path}: checkpoint names tensor {name!r} twice")
+        try:            # an empty payload may still come with extents NumPy cannot hold
+            out[name] = Tensor(payload[start:start + count].reshape(shape))
+        except ValueError as err:
+            raise ValueError(f"{path}: tensor {name!r} has shape {tuple(shape)}: {err}") from None
     return out
 
 

@@ -106,12 +106,16 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     if args.wav_fixtures < 0:
         raise UsageError(f"--wav-fixtures must be >= 0, got {args.wav_fixtures}")
     cfg = _load_run_config(args)
-    out = make_out_dir(cfg.out_dir)
     vocab = build_vocab()
     utts = generate_corpus(cfg.corpus_config(), vocab)
+    n_train = sum(1 for u in utts if u.split == "train")
+    if n_train in (0, len(utts)):
+        raise UsageError(f"n_per_class = {cfg.n_per_class} and train_fraction = "
+                         f"{cfg.train_fraction} leave the {'test' if n_train else 'train'} "
+                         "split empty")
+    out = make_out_dir(cfg.out_dir)
     save_corpus(utts, out / "manifest.jsonl", out / "frames.bin")
     vocab.save(out / "vocab.tsv")
-    n_train = sum(1 for u in utts if u.split == "train")
     print(f"wrote {len(utts)} utterances ({n_train} train, "
           f"{len(utts) - n_train} test) to {out}")
     if args.wav_fixtures:

@@ -154,6 +154,7 @@ def load_corpus(manifest_path: str | Path, frames_path: str | Path) -> list[Utte
     count, t0, feat_dim = struct.unpack_from("<3Q", blob, 0)
     block = 8 * t0 * feat_dim
     utts: list[Utterance] = []
+    owners: dict[int, str] = {}     # frames_offset -> the utterance that named it first
     with open(manifest_path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -166,6 +167,10 @@ def load_corpus(manifest_path: str | Path, frames_path: str | Path) -> list[Utte
                     or offset not in range(header, header + count * block, block)):
                 raise ValueError(f"{where}: utterance {rec['id']!r}: frames_offset "
                                  f"{offset!r} is not a frame block of the sidecar")
+            if offset in owners:
+                raise ValueError(f"{where}: utterance {rec['id']!r}: frames_offset {offset} "
+                                 f"is the frame block of utterance {owners[offset]!r}")
+            owners[offset] = rec["id"]
             if offset + block > len(blob):
                 raise ValueError(f"{frames_path}: frames sidecar is cut short in the "
                                  f"frames of utterance {rec['id']!r}")

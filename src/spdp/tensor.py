@@ -304,8 +304,8 @@ def sqrt(a) -> Tensor:
     y = np.sqrt(a.data)
     out = Tensor(y)
 
-    def bw(g):
-        a._accum_grad(g * 0.5 / y, fresh=True)
+    def bw(g):      # 0 where y is 0, so a zero vector's norm passes no NaN back
+        a._accum_grad(np.divide(g * 0.5, y, out=np.zeros_like(g), where=y > 0), fresh=True)
 
     return _attach(out, (a,), bw)
 
@@ -606,7 +606,9 @@ def layer_norm(x, gamma, beta, eps: float = 1e-5) -> Tensor:
 
 
 def cosine_sim(u, v) -> Tensor:
-    """Cosine similarity along the last axis; 1e-8 is added to the norm product."""
+    """Cosine similarity along the last axis; 1e-8 is added to the norm product.
+    Where ``u`` is a zero vector the output is 0, ``u``'s gradient is g·v/1e-8
+    (the norm term's is 0, as ``sqrt``'s gradient is 0 at 0) and ``v``'s is 0."""
     u, v = as_tensor(u), as_tensor(v)
     if u.shape != v.shape:
         raise ValueError("cosine_sim operands must have identical shapes")

@@ -235,6 +235,22 @@ def test_negative_wav_fixture_count_is_usage_error_before_any_output(tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lines, empty", [
+    (["n_per_class = 3"], "test"),
+    (["n_per_class = 4", "train_fraction = 0.1"], "train"),
+], ids=["no-test", "no-train"])
+def test_gen_data_that_leaves_a_split_empty_is_usage_error_before_any_output(tmp_path, capsys,
+                                                                             lines, empty):
+    cfg = tmp_path / "small.cfg"
+    cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["gen-data", "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert f"leave the {empty} split empty" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
+
+
 # -- train ------------------------------------------------------------------------------
 
 
@@ -493,6 +509,7 @@ def test_path_that_is_a_directory_is_data_error(workspace, tmp_path, capsys,
 @pytest.mark.parametrize("damage, message", [
     ("drop_tensor", "checkpoint missing tensor 'parallel.sub_a.w'"),
     ("version_1", "unsupported checkpoint version 1"),
+    ("version_2", "unsupported checkpoint version 2"),
 ])
 def test_eval_refuses_damaged_checkpoint_as_data_error(workspace, tmp_path, capsys,
                                                        damage, message):
@@ -504,7 +521,7 @@ def test_eval_refuses_damaged_checkpoint_as_data_error(workspace, tmp_path, caps
         save_checkpoint(bad, blobs)
     else:
         raw = bytearray(src.read_bytes())
-        raw[4:8] = struct.pack("<I", 1)
+        raw[4:8] = struct.pack("<I", int(damage[-1]))
         bad.write_bytes(bytes(raw))
     assert main(["eval", "--config", str(workspace["cfg"]), "--out", str(tmp_path / "e"),
                  "--checkpoint", str(bad)]) == EXIT_DATA
@@ -512,12 +529,15 @@ def test_eval_refuses_damaged_checkpoint_as_data_error(workspace, tmp_path, caps
 
 
 def test_eval_on_a_truncated_checkpoint_is_data_error(workspace, tmp_path, capsys):
+    raw = (workspace["run"] / "ckpt-epoch-1.spdp").read_bytes()
     bad = tmp_path / "cut.spdp"
-    bad.write_bytes((workspace["run"] / "ckpt-epoch-1.spdp").read_bytes()[:51])
-    assert main(["eval", "--config", str(workspace["cfg"]), "--out", str(tmp_path / "e"),
-                 "--checkpoint", str(bad)]) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert "cut.spdp: checkpoint is cut short in the header of tensor" in err
+    for cut, message in ((51, "checkpoint is cut short in its head"),
+                         (len(raw) - 8, "checkpoint is cut short in its payload")):
+        bad.write_bytes(raw[:cut])
+        assert main(["eval", "--config", str(workspace["cfg"]), "--out", str(tmp_path / "e"),
+                     "--checkpoint", str(bad)]) == EXIT_DATA
+        assert f"data error: {bad}: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "e").exists()
 
 
 def test_eval_on_a_truncated_frames_sidecar_is_data_error(workspace, tmp_path, capsys):
@@ -562,14 +582,37 @@ def test_eval_with_other_dims_than_the_checkpoint_is_data_error(workspace, tmp_p
 ])
 def test_resume_from_a_checkpoint_cut_at_a_record_boundary_is_data_error(
         workspace, tmp_path, capsys, n_dropped, missing):
+    """The file cut where the dropped records' payload starts is refused whole;
+    the same records saved without the dropped ones are refused for the first
+    tensor missing."""
     src = workspace["run"] / "ckpt-epoch-0.spdp"
+    blobs = load_checkpoint(src)
+    dropped = sum(t.data.nbytes for t in list(blobs.values())[-n_dropped:])
     cut = tmp_path / "cut.spdp"
-    save_checkpoint(cut, dict(list(load_checkpoint(src).items())[:-n_dropped]))
-    assert src.read_bytes().startswith(cut.read_bytes())
+    cut.write_bytes(src.read_bytes()[:-dropped])
     out = tmp_path / "r"
     assert main(["train", "--config", str(workspace["cfg"]), "--out", str(out),
                  "--resume", str(cut)]) == EXIT_DATA
+    assert f"{cut}: checkpoint is cut short in its payload" in capsys.readouterr().err
+    save_checkpoint(cut, dict(list(blobs.items())[:-n_dropped]))
+    assert main(["train", "--config", str(workspace["cfg"]), "--out", str(out),
+                 "--resume", str(cut)]) == EXIT_DATA
     assert f"{cut}: checkpoint missing tensor {missing!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("version", [1, 2])
+def test_resume_from_a_checkpoint_of_an_older_version_is_data_error(workspace, tmp_path,
+                                                                     capsys, version):
+    raw = bytearray((workspace["run"] / "ckpt-epoch-0.spdp").read_bytes())
+    raw[4:8] = struct.pack("<I", version)
+    old = tmp_path / "old.spdp"
+    old.write_bytes(bytes(raw))
+    out = tmp_path / "r"
+    assert main(["train", "--config", str(workspace["cfg"]), "--out", str(out),
+                 "--resume", str(old)]) == EXIT_DATA
+    assert (f"data error: {old}: unsupported checkpoint version {version}"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 
@@ -652,7 +695,7 @@ def test_resume_into_a_finished_run_cuts_the_log_back_to_the_checkpoint(three_ep
 
 def test_resume_from_a_checkpoint_with_an_epoch_record_gives_the_straight_run_bytes(
         three_epochs, tmp_path):
-    """Older checkpoints end in a ``meta.epoch`` record, which a resume ignores."""
+    """A resume ignores a tensor the run does not hold, such as ``meta.epoch``."""
     capped = tmp_path / "capped.cfg"
     capped.write_text(three_epochs["cfg"].read_text() + "max_steps = 5\n", encoding="utf-8")
     run = tmp_path / "run"

@@ -124,6 +124,22 @@ def test_corpus_load_rejects_offset_off_the_block_grid(tmp_path, kind):
         load_corpus(manifest, frames)
 
 
+def test_corpus_load_refuses_a_frame_block_named_twice(tmp_path):
+    """Two records naming one block would give the second the first one's
+    frames and leave a block unread; the count check alone cannot see it."""
+    utts = generate_corpus(CorpusConfig(n_per_class=8, seed=6), VOCAB)
+    manifest, frames = tmp_path / "manifest.jsonl", tmp_path / "frames.bin"
+    save_corpus(utts, manifest, frames)
+    recs = [json.loads(l) for l in manifest.read_text().splitlines()]
+    recs[1]["frames_offset"] = recs[0]["frames_offset"]
+    manifest.write_text("".join(json.dumps(r) + "\n" for r in recs))
+    with pytest.raises(ValueError) as err:
+        load_corpus(manifest, frames)
+    assert str(err.value) == (f"{manifest} line 2: utterance {recs[1]['id']!r}: frames_offset "
+                              f"{recs[0]['frames_offset']} is the frame block of utterance "
+                              f"{recs[0]['id']!r}")
+
+
 @pytest.mark.parametrize("line, message", [
     ("{not json", "not JSON"),
     ("[1, 2]", "not a JSON object"),

@@ -153,32 +153,45 @@ def test_every_public_definition_has_a_caller():
 
 # The exception types ``cli.main`` maps to an exit code: 1, 2 and 3.
 EXIT_EXCEPTIONS = {"UsageError", "ValueError", "FloatingPointError"}
-# (module, function, raised name) pairs that never reach ``main``.
-RAISE_ALLOWLIST = {
-    # caught in the same function and re-raised as ValueError
-    ("checkpoint.py", "load_checkpoint", "struct.error"),
-}
+# (module, function, raised name) pairs that never reach ``main``, each with a
+# comment saying why; an entry whose raise is gone fails
+# ``test_every_allowlist_entry_names_a_raise_that_exists``.
+RAISE_ALLOWLIST: set[tuple[str, str, str]] = set()
+
+
+def raised_names(source: str) -> list[tuple[str, str]]:
+    """(enclosing function, raised name) of each ``raise`` in ``source`` that
+    names a type; a raise outside any function is under ``<module>``."""
+    found: list[tuple[str, str]] = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                found.append((where, ast.unparse(exc)))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
 
 
 def unmapped_exceptions(module: str, source: str) -> list[str]:
     """Each exception class ``source`` defines, and each ``raise`` that names a
     type, outside ``EXIT_EXCEPTIONS``; a bare re-raise passes."""
-    found: list[str] = []
+    found = [f"class {node.name}" for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.ClassDef) and node.name not in EXIT_EXCEPTIONS
+             and any(ast.unparse(b).endswith(("Error", "Exception")) for b in node.bases)]
+    return found + [f"{where}: raise {name}" for where, name in raised_names(source)
+                    if name not in EXIT_EXCEPTIONS
+                    and (module, where, name) not in RAISE_ALLOWLIST]
 
-    def visit(node: ast.AST, where: str) -> None:
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.ClassDef) and child.name not in EXIT_EXCEPTIONS and any(
-                    ast.unparse(b).endswith(("Error", "Exception")) for b in child.bases):
-                found.append(f"class {child.name}")
-            if isinstance(child, ast.Raise) and child.exc is not None:
-                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
-                name = ast.unparse(exc)
-                if name not in EXIT_EXCEPTIONS and (module, where, name) not in RAISE_ALLOWLIST:
-                    found.append(f"{where}: raise {name}")
-            visit(child, child.name if isinstance(child, ast.FunctionDef) else where)
 
-    visit(ast.parse(source), "<module>")
-    return found
+def stale_allowlist_entries(allowlist: set[tuple[str, str, str]],
+                            sources: dict[str, str]) -> list[tuple[str, str, str]]:
+    """Entries of ``allowlist`` whose module no longer raises that name in that function."""
+    live = {(module, where, name) for module, source in sources.items()
+            for where, name in raised_names(source)}
+    return sorted(allowlist - live)
 
 
 def test_the_check_finds_an_exception_type_with_no_exit_code():
@@ -194,3 +207,20 @@ def test_the_check_finds_an_exception_type_with_no_exit_code():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_every_raise_has_an_exit_code(path):
     assert unmapped_exceptions(path.name, path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_finds_an_allowlist_entry_that_outlived_its_raise():
+    source = ("import struct\n"
+              "def load(blob):\n"
+              "    try:\n        return struct.unpack('<I', blob)\n"
+              "    except struct.error as err:\n        raise KeyError(blob) from err\n")
+    allowlist = {("box.py", "load", "KeyError"), ("box.py", "load", "struct.error"),
+                 ("box.py", "save", "KeyError"), ("gone.py", "load", "KeyError")}
+    assert stale_allowlist_entries(allowlist, {"box.py": source}) == [
+        ("box.py", "load", "struct.error"), ("box.py", "save", "KeyError"),
+        ("gone.py", "load", "KeyError")]
+
+
+def test_every_allowlist_entry_names_a_raise_that_exists():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in MODULES}
+    assert stale_allowlist_entries(RAISE_ALLOWLIST, sources) == []

@@ -1,6 +1,7 @@
 """Unit tests for the autodiff engine, optimizer, and checkpoint container."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
@@ -138,6 +139,16 @@ def test_cosine_parallel():
 def test_cosine_zero_vector_guarded():
     out = T.cosine_sim(Tensor([0.0, 0.0]), Tensor([1.0, 1.0]))
     npt.assert_allclose(out.data, 0.0, atol=1e-12)
+
+
+def test_cosine_gradient_at_a_zero_vector_is_the_dot_term_alone():
+    u = Tensor(np.zeros((1, 3)), requires_grad=True)
+    v = Tensor(np.ones((1, 3)), requires_grad=True)
+    out = T.cosine_sim(u, v)
+    T.tsum(T.mul(out, 2.5)).backward()
+    assert out.data.tolist() == [0.0]
+    npt.assert_allclose(u.grad, 2.5 * v.data / 1e-8, rtol=1e-15)
+    assert v.grad.tolist() == [[0.0, 0.0, 0.0]]
 
 
 @settings(max_examples=40, deadline=None)
@@ -710,45 +721,111 @@ def test_checkpoint_bad_magic_rejected(tmp_path):
         load_checkpoint(path)
 
 
-def test_checkpoint_cut_anywhere_but_a_record_boundary_is_refused(tmp_path):
-    path = tmp_path / "model.spdp"
-    save_checkpoint(path, {"w": Tensor(np.arange(6.0).reshape(2, 3)),
-                           "b": Tensor(np.ones(2))})
+def small_tensors() -> dict[str, Tensor]:
+    return {"w": Tensor(np.arange(6.0).reshape(2, 3)), "b": Tensor(np.ones(2)),
+            "c": Tensor(np.zeros((2, 2, 2)))}
+
+
+HEAD = b'[["w",[2,3]],["b",[2]],["c",[2,2,2]]]'
+PAYLOAD_START = 16 + len(HEAD)
+
+
+def test_checkpoint_layout_is_one_head_and_one_payload(tmp_path):
+    path = tmp_path / "small.spdp"
+    save_checkpoint(path, small_tensors())
     raw = path.read_bytes()
-    first = 8 + 4 + 1 + 4 + 2 * 8 + 6 * 8
+    assert raw[:16] == b"SPDP" + (3).to_bytes(4, "little") + len(HEAD).to_bytes(8, "little")
+    assert raw[16:PAYLOAD_START] == HEAD
+    assert raw[PAYLOAD_START:] == b"".join(t.data.tobytes() for t in small_tensors().values())
+    loaded = load_checkpoint(path)
+    assert list(loaded) == ["w", "b", "c"]
+    assert [t.shape for t in loaded.values()] == [(2, 3), (2,), (2, 2, 2)]
+
+
+def test_checkpoint_cut_anywhere_is_refused(tmp_path):
+    path = tmp_path / "model.spdp"
+    save_checkpoint(path, small_tensors())
+    raw = path.read_bytes()
     cut_file = tmp_path / "cut.spdp"
-    for cut in range(8, len(raw)):
+    for cut in range(len(raw)):
         cut_file.write_bytes(raw[:cut])
-        if cut in (8, first):
-            assert len(load_checkpoint(cut_file)) == (cut == first)
-            continue
-        with pytest.raises(ValueError, match="cut.spdp: checkpoint is cut short") as err:
+        with pytest.raises(ValueError) as err:
             load_checkpoint(cut_file)
-        if 8 + 4 + 1 + 4 + 2 * 8 <= cut < first:
-            assert "payload of tensor 'w'" in str(err.value)
-        elif cut > first + 4 + 1:
-            assert "tensor 'b'" in str(err.value)
+        message = str(err.value)
+        assert message.startswith(f"{cut_file}: "), (cut, message)
+        if cut < 4:
+            assert message.endswith("bad magic"), (cut, message)
+        elif cut < PAYLOAD_START:
+            assert message.endswith("checkpoint is cut short in its head"), (cut, message)
+        else:
+            assert f"cut short in its payload ({cut - PAYLOAD_START} of 128 bytes)" in message
+
+
+@pytest.mark.parametrize("tail", [b"\0", b"\0" * 8, HEAD], ids=["one-byte", "one-float", "head"])
+def test_checkpoint_with_bytes_after_its_payload_is_refused(tmp_path, tail):
+    path = tmp_path / "long.spdp"
+    save_checkpoint(path, small_tensors())
+    path.write_bytes(path.read_bytes() + tail)
+    with pytest.raises(ValueError, match=f"long.spdp: checkpoint has {len(tail)} bytes after "
+                                         "its payload"):
+        load_checkpoint(path)
+
+
+def _with_head(tmp_path, head: bytes, payload: bytes) -> Path:
+    path = tmp_path / "edited.spdp"
+    path.write_bytes(b"SPDP" + (3).to_bytes(4, "little") + len(head).to_bytes(8, "little")
+                     + head + payload)
+    return path
+
+
+def test_checkpoint_naming_a_tensor_twice_is_refused(tmp_path):
+    path = _with_head(tmp_path, b'[["w",[2]],["b",[1]],["w",[1]]]', bytes(32))
+    with pytest.raises(ValueError, match="edited.spdp: checkpoint names tensor 'w' twice"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("head", [
+    b'{"w":[2]}', b'[["w",[2],0]]', b'[[7,[2]]]', b'[["w",2]]', b'[["w",[-2]]]',
+    b'[["w",[2.0]]]', b'[["w",[true,2]]]', b'[["w",[2]]', b'[["\xff",[2]]]',
+    b"[" * 100_000,
+], ids=["object", "triple", "int-name", "int-shape", "negative", "float", "bool", "unclosed",
+        "not-utf8", "nested-deep"])
+def test_checkpoint_head_that_is_not_a_list_of_name_shape_pairs_is_refused(tmp_path, head):
+    path = _with_head(tmp_path, head, bytes(16))
+    with pytest.raises(ValueError, match=r"edited.spdp: checkpoint head is not a JSON list of "
+                                         r"\[name, \[extent, ...\]\] pairs"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_extents_numpy_cannot_hold_are_refused(tmp_path):
+    path = _with_head(tmp_path, b'[["w",[0,%d]]]' % 2**64, b"")
+    with pytest.raises(ValueError, match=r"edited.spdp: tensor 'w' has shape \(0, "):
+        load_checkpoint(path)
 
 
 @pytest.fixture(scope="module")
 def small_checkpoint(tmp_path_factory):
-    """Three tensors of rank 2, 1 and 3: 211 bytes, each example rewrites damaged.spdp."""
+    """Three tensors of rank 2, 1 and 3: 181 bytes, each example rewrites damaged.spdp."""
     root = tmp_path_factory.mktemp("ckpt")
-    save_checkpoint(root / "small.spdp", {"w": Tensor(np.arange(6.0).reshape(2, 3)),
-                                          "b": Tensor(np.ones(2)),
-                                          "c": Tensor(np.zeros((2, 2, 2)))})
+    save_checkpoint(root / "small.spdp", small_tensors())
     return root
 
 
 @settings(max_examples=300, deadline=None)
-@given(pos=st.integers(0, 210), byte=st.none() | st.integers(0, 255))
-@example(pos=12, byte=0xff)         # the name of 'w' is not UTF-8
-@example(pos=24, byte=0x80)         # the first extent of 'w' is 2 + 2**63
-@example(pos=130, byte=0x40)        # the extents of 'c' multiply to 8 modulo 2**64
+@given(pos=st.integers(0, 180), byte=st.none() | st.integers(0, 255))
+@example(pos=19, byte=0xff)         # the name of 'w' is not UTF-8
+@example(pos=23, byte=ord("9"))     # 'w' is 9 by 3: the head asks for more payload
+@example(pos=23, byte=ord("0"))     # 'w' is 0 by 3: the head asks for less
+@example(pos=19, byte=ord("b"))     # 'b' is named twice
+@example(pos=8, byte=0x24)          # the head ends one byte early
+@example(pos=4, byte=2)             # version 2
+@example(pos=60, byte=0x80)         # a payload byte of 'w'
 def test_checkpoint_cut_or_overwritten_anywhere_loads_or_names_the_file(small_checkpoint,
                                                                          pos, byte):
+    """A cut never loads; an overwritten byte loads or is refused naming the file.
+    The payload has no checksum, so one overwritten there loads, changed."""
     raw = bytearray((small_checkpoint / "small.spdp").read_bytes())
-    assert len(raw) == 211
+    assert len(raw) == 181
     if byte is None:
         del raw[pos:]
     else:
@@ -756,9 +833,14 @@ def test_checkpoint_cut_or_overwritten_anywhere_loads_or_names_the_file(small_ch
     path = small_checkpoint / "damaged.spdp"
     path.write_bytes(bytes(raw))
     try:
-        load_checkpoint(path)
+        loaded = load_checkpoint(path)
     except ValueError as err:
         assert str(err).startswith(f"{path}: "), err
+        assert byte is None or pos < PAYLOAD_START
+        return
+    assert byte is not None
+    if pos >= PAYLOAD_START:
+        assert b"".join(t.data.tobytes() for t in loaded.values()) == raw[PAYLOAD_START:]
 
 
 def test_checkpoint_failed_save_keeps_previous_file(tmp_path):

@@ -160,7 +160,7 @@ def test_desk_dims_train_step_has_at_most_210_backward_nodes():
 
 
 def test_checkpoint_name_table_is_pinned():
-    """Record names, shapes and order of a default checkpoint (format version 2)."""
+    """Record names, shapes and order of a default checkpoint."""
     params = SpdpModel(RunConfig()).params()
     table = "\n".join(f"{name} {tuple(t.shape)}" for name, t in params.items())
     assert len(params) == 225
